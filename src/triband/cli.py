@@ -27,7 +27,7 @@ from .pointlimits import (
     squeezed_eigenfunction,
 )
 from .spectra import PencilSpec, classify, sweep
-from .verify import run_all
+from .verify import checks, run_check
 
 FAMILY_NAMES = {"delta": "delta", "l23": "two_thirds", "l2": "inv_square"}
 
@@ -282,11 +282,12 @@ def cmd_pointlimit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(seed=args.seed, cases=args.cases)
     ok = True
-    for name, passed, detail in results:
+    for name, fn in checks(seed=args.seed, cases=args.cases):
+        t0 = time.perf_counter()
+        passed, detail = run_check(fn)
         status = "PASS" if passed else "FAIL"
-        print(f"[{status}] {name}: {detail}")
+        print(f"[{status}] {name}: {detail} ({time.perf_counter() - t0:.1f} s)", flush=True)
         ok = ok and passed
     return 0 if ok else 3
 

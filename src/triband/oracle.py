@@ -15,8 +15,12 @@ cross product of the arrival state with that ray is the shooting mismatch.
 
 Integration is fixed-step RK4, deliberately ignorant of the closed-form
 trigonometry used by the main solver.  The interior coefficients are constant,
-so fixed steps are adequate as long as |k| h stays small; callers probing
-large wave numbers should raise n_steps.
+so every step applies the same 2x2 matrix and the n_steps-step iterate is
+formed by binary powering of that matrix (`_rk4`): the same iterate as
+stepping, in O(log n_steps) array operations per energy batch, with no
+trigonometry, matrix exponential or eigen-decomposition.  Fixed steps are
+adequate as long as |k| h stays small; callers probing large wave numbers
+should raise n_steps, and the work grows only as log n_steps.
 """
 
 from __future__ import annotations
@@ -31,23 +35,37 @@ ORACLE_XTOL = 1e-10  # bisection tolerance relative to m
 
 
 def _rk4(cfg: PotentialConfig, e: np.ndarray, u, v, span: float, n_steps: int):
-    """Fixed-step RK4 of u' = cu v, v' = cv u over `span`, renormalizing
-    periodically (the rescaling cannot move a zero of any mismatch)."""
+    """n_steps fixed RK4 steps of u' = cu v, v' = cv u over `span`, up to a
+    positive factor (which cannot move a zero of any mismatch).
+
+    With M = h [[0, cu], [cv, 0]] one step is S = I + M + M^2/2 + M^3/6 + M^4/24,
+    and M^2 = c I with c = h^2 cu cv, so S = p I + q M exactly.  Products of
+    such matrices stay of that form, (p1, q1)(p2, q2) = (p1 p2 + c q1 q2,
+    p1 q2 + q1 p2), so S^n_steps = P I + Q M follows by binary powering in
+    O(log n_steps) array operations.  Every factor is divided by
+    |p| + |q| sqrt|c|, positive because S and its powers are never singular,
+    which keeps the evanescent growth finite.
+    """
     cu = np.sqrt(2.0) * (e - cfg.v2)
     denom = 2.0 * e - cfg.v1 - cfg.v3
     cv = -np.sqrt(2.0) * (e - cfg.v1) * (e - cfg.v3) / denom
     h = span / n_steps
-    for i in range(n_steps):
-        k1u, k1v = cu * v, cv * u
-        k2u, k2v = cu * (v + 0.5 * h * k1v), cv * (u + 0.5 * h * k1u)
-        k3u, k3v = cu * (v + 0.5 * h * k2v), cv * (u + 0.5 * h * k2u)
-        k4u, k4v = cu * (v + h * k3v), cv * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if i % 64 == 0:
-            norm = np.hypot(u, v)
-            u, v = u / norm, v / norm
-    return u, v
+    c = h * h * cu * cv
+    root_c = np.sqrt(np.abs(c))
+
+    def scaled(p, q):
+        s = np.abs(p) + np.abs(q) * root_c
+        return p / s, q / s
+
+    bp, bq = scaled(1.0 + c / 2.0 + c * c / 24.0, 1.0 + c / 6.0)
+    pp, pq = np.ones_like(c), np.zeros_like(c)
+    n = n_steps
+    while n:
+        if n & 1:
+            pp, pq = scaled(pp * bp + c * pq * bq, pp * bq + pq * bp)
+        bp, bq = scaled(bp * bp + c * bq * bq, 2.0 * bp * bq)
+        n >>= 1
+    return pp * u + pq * h * cu * v, pp * v + pq * h * cv * u
 
 
 def _left_ray(cfg: PotentialConfig, e: np.ndarray):
@@ -116,22 +134,22 @@ def oracle_bound_states(
     windows = list(windows) + list(extra_exclusions)
     segments = rootfind.subtract_windows(lo, hi, windows)
 
-    def fun_plus(x):
-        return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)[0]
-
-    def fun_minus(x):
-        return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)[1]
-
     total = sum(s[1] - s[0] for s in segments)
+    brackets = ([], [])  # per parity mismatch, u(a) then v(a)
+    for slo, shi in segments:
+        n = max(16, int(round(n_grid * (shi - slo) / total)))
+        xs = np.linspace(slo, shi, n)
+        for found, fs in zip(brackets, _parity_mismatch_batch(cfg, geom, xs, n_steps)):
+            found.extend(rootfind.sign_change_brackets(xs, fs))
     out = []
-    for fun in (fun_plus, fun_minus):
-        brackets = []
-        for slo, shi in segments:
-            n = max(16, int(round(n_grid * (shi - slo) / total)))
-            xs = np.linspace(slo, shi, n)
-            fs = fun(xs)
-            brackets.extend(rootfind.sign_change_brackets(xs, fs))
-        roots, fr = rootfind.refine_brackets(fun, brackets, xtol=ORACLE_XTOL * m)
+    # refined and deduplicated per parity: an exponentially split doublet can
+    # sit closer than the dedup tolerance
+    for i, found in enumerate(brackets):
+
+        def fun(x):
+            return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)[i]
+
+        roots, fr = rootfind.refine_brackets(fun, found, xtol=ORACLE_XTOL * m)
         roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL * m)
         out.extend(float(r) for r in roots)
     return sorted(out)

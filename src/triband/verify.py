@@ -200,9 +200,9 @@ def check_type_three_squeeze():
     return ok, f"threshold margins {margins[0]:.3g} -> {margins[1]:.3g}"
 
 
-def run_all(seed=42, cases=20):
-    """Run every verification check; returns list of (name, ok, detail)."""
-    checks = [
+def checks(seed=42, cases=20):
+    """Every verification check as (name, zero-argument callable), in run order."""
+    return [
         ("unit_determinant", check_unit_determinant),
         ("parity_symmetry", check_parity_symmetry),
         ("zero_current", check_current),
@@ -211,11 +211,17 @@ def run_all(seed=42, cases=20):
         ("type_three_squeeze_empty", check_type_three_squeeze),
         ("oracle_agreement", lambda: check_oracle_agreement(seed=seed, cases=cases)),
     ]
-    results = []
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, bool(ok), detail))
-    return results
+
+
+def run_check(fn):
+    """(ok, detail) of one check; a crash is a failure, not an abort."""
+    try:
+        ok, detail = fn()
+    except Exception as exc:
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return bool(ok), detail
+
+
+def run_all(seed=42, cases=20):
+    """Run every verification check; returns list of (name, ok, detail)."""
+    return [(name, *run_check(fn)) for name, fn in checks(seed, cases)]
