@@ -23,7 +23,6 @@ magnitude without moving any zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +152,9 @@ def split_residuals(cfg: PotentialConfig, geom: Geometry, e: float):
 class _ScanResiduals:
     """Pole-free, overflow-safe scan residuals for one configuration.
 
-    plus(E) has the zeros of the E+ family; minus(E) those of the E- family.
-    Both are smooth on the gap minus the va pole (off-plane) and bounded in
-    the imaginary-k region.
+    both(E) returns (plus, minus): plus has the zeros of the E+ family, minus
+    those of the E- family.  Both are smooth on the gap minus the va pole
+    (off-plane) and bounded in the imaginary-k region.
     """
 
     def __init__(self, cfg: PotentialConfig, geom: Geometry):
@@ -180,77 +179,88 @@ class _ScanResiduals:
         e = np.asarray(e, dtype=float)
         k2 = self._k2(e)
         kap = np.sqrt((self.m - e) * (self.m + e))
-        with np.errstate(over="ignore", invalid="ignore"):
-            s2, c2 = sc_kernels(k2, self.half)
-            ratio = sc_ratio(np.minimum(k2, 0.0), self.half)
+        # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
+        # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is
+        # evaluated on its own points only: cosh overflows where the ratio is
+        # used, and an overflow in a discarded branch would still warn.
         neg = k2 < 0
+        s = np.empty_like(e)
+        c = np.ones_like(e)
+        s[neg] = sc_ratio(k2[neg], self.half)
+        s[~neg], c[~neg] = sc_kernels(k2[~neg], self.half)
         # plus family: E * r_plus, or r_plus itself when v2 == 0
         fac = kap if self.v2_zero else kap * (e - self.v2)
         lead = 1.0 if self.v2_zero else e
-        rp = np.where(neg, fac * ratio + lead, fac * s2 + lead * c2)
-        # minus family
+        rp = fac * s + lead * c
+        # minus family: r_minus = lam * c - g * s, E times it off the v2 = 0 case
         if self.plane == "A":
-            rm = np.where(
-                neg,
-                kap * (e - self.v2) - e * k2 * ratio,
-                kap * (e - self.v2) * c2 - e * k2 * s2,
-            )
+            lam, g = kap * (e - self.v2), e * k2
         elif self.plane == "AB":
-            rm = np.where(neg, kap - e * (e - self.v2) * ratio, kap * c2 - e * (e - self.v2) * s2)
+            lam, g = kap, e * (e - self.v2)
         elif self.v2_zero:
-            rm = np.where(neg, kap - k2 * ratio, kap * c2 - k2 * s2)
+            lam, g = kap, k2
         else:
-            w = (e - self.v1) * (e - self.v3) / (e - self.va)
-            rm = np.where(neg, kap - e * w * ratio, kap * c2 - e * w * s2)
+            lam, g = kap, e * ((e - self.v1) * (e - self.v3) / (e - self.va))
+        rm = lam * c - g * s
         return rp, rm
-
-    def plus(self, e):
-        return self.both(e)[0]
-
-    def minus(self, e):
-        return self.both(e)[1]
 
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _grid_eval(fun, xs: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1 or xs.size < 256:
-        return fun(xs)
-    chunks = np.array_split(xs, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(fun, chunks))
-    return np.concatenate(parts)
+def scan_segments(cfg: PotentialConfig, extra_exclusions=()):
+    """The gap minus the guard windows and extra_exclusions, as (lo, hi) segments.
+
+    The guard windows surround the residual poles at E = 0 and E = va (when
+    va is in the gap); the gap edges +-m are kept EDGE_MARGIN away.
+    """
+    m = cfg.m
+    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
+    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
+    if abs(cfg.va) < m:
+        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
+    windows.extend(extra_exclusions)
+    return rootfind.subtract_windows(lo, hi, windows)
 
 
-def _brackets_for(fun, segments, n_grid, workers, refine=4):
-    """Scan every segment, bracket sign changes, refine cells, add edge ladders."""
-    brackets = []
-    total = sum(s[1] - s[0] for s in segments)
-    if total <= 0:
-        return brackets
-    for slo, shi in segments:
-        n = max(16, int(round(n_grid * (shi - slo) / total)))
-        xs = np.linspace(slo, shi, n)
-        fs = _grid_eval(fun, xs, workers)
-        raw = rootfind.sign_change_brackets(xs, fs)
-        # split each sign-change cell to separate close root pairs
-        for a, b in raw:
-            sub = np.linspace(a, b, refine + 1)
-            fsub = fun(sub)
-            brackets.extend(rootfind.sign_change_brackets(sub, fsub))
-        # log-spaced ladders recover roots crowding the segment ends
-        # (window edges, gap edges); three decades below the cell size
-        h = (shi - slo) / (n - 1)
+def _scan_brackets(both, segments, n_grid, refine=4):
+    """Sign-change brackets of both parities in two residual calls.
+
+    The first call scans the segment grids.  The second covers every
+    sign-change cell split into `refine` equal parts, which separates close
+    root pairs, and log-spaced ladders at both ends of every segment, which
+    recover roots crowding the window and gap edges (three decades below the
+    cell size).  Returns the sorted, duplicate-free brackets of each parity.
+    """
+    if not segments:
+        return [[], []]
+    grids = rootfind.segment_grids(segments, n_grid)
+    ladders = []
+    for (slo, shi), xs in zip(segments, grids):
+        h = (shi - slo) / (xs.size - 1)
         for edge, inward in ((slo, +1.0), (shi, -1.0)):
             lad = rootfind.edge_ladder(edge, inward, h)
             lad = lad[(lad > slo) & (lad < shi)]
-            lad = np.sort(np.append(lad, edge + inward * h))
-            if inward < 0:
-                lad = lad[::-1]
-            flad = fun(lad)
-            brackets.extend(rootfind.sign_change_brackets(lad, flad))
-    return sorted(set(brackets))
+            ladders.append(np.sort(np.append(lad, edge + inward * h)))
+    x = np.concatenate(grids)
+    lengths = [xs.size for xs in grids]
+    cells = [
+        np.array(rootfind.sign_change_brackets(x, f, lengths)).reshape(-1, 2) for f in both(x)
+    ]
+    subs = [np.linspace(c[:, 0], c[:, 1], refine + 1, axis=-1).ravel() for c in cells]
+    ladder_x = np.concatenate(ladders)
+    ladder_lengths = [lad.size for lad in ladders]
+    # layout: the "+" cells, the "-" cells, then the ladders both parities scan
+    n_subs = subs[0].size + subs[1].size
+    start = 0
+    out = []
+    for sub, f in zip(subs, both(np.concatenate(subs + [ladder_x]))):
+        fs = np.concatenate([f[start : start + sub.size], f[n_subs:]])
+        start += sub.size
+        rows = [refine + 1] * (sub.size // (refine + 1)) + ladder_lengths
+        found = rootfind.sign_change_brackets(np.concatenate([sub, ladder_x]), fs, rows)
+        out.append(sorted(set(found)))
+    return out
 
 
 def find_bound_states(
@@ -265,25 +275,26 @@ def find_bound_states(
     Scans the gap minus guard windows around E = 0, E = va and the edges,
     brackets sign changes of the two family residuals on an adaptively refined
     grid, converges each bracket by bisection plus secant polish to
-    |dE| < 1e-12 m, deduplicates and tags each root with its parity.
-    extra_exclusions is a list of (lo, hi) intervals left out of the scan
-    (used by cross-validation harnesses to equalize domains).
+    |dE| < 1e-12 m, deduplicates and tags each root with its parity.  Both
+    parities share every residual call, so a solve costs a fixed number of
+    calls (about 35) whatever the number of levels.  extra_exclusions is a
+    list of (lo, hi) intervals left out of the scan (used by cross-validation
+    harnesses to equalize domains).  workers has no effect; it is accepted so
+    that existing callers keep working.
     """
     m = cfg.m
     res = _ScanResiduals(cfg, geom)
     lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
-    centers = [0.0]
-    if abs(cfg.va) < m:
-        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
-        centers.append(cfg.va)
-    windows.extend(extra_exclusions)
-    segments = rootfind.subtract_windows(lo, hi, windows)
-
+    centers = [0.0, cfg.va] if abs(cfg.va) < m else [0.0]
+    brackets = _scan_brackets(res.both, scan_segments(cfg, extra_exclusions), n_grid)
+    refined = rootfind.refine_brackets(
+        res.both,
+        brackets[0] + brackets[1],
+        xtol=ROOT_XTOL * m,
+        families=[len(b) for b in brackets],
+    )
     out = []
-    for parity, fun in (("+", res.plus), ("-", res.minus)):
-        brackets = _brackets_for(fun, segments, n_grid, workers)
-        roots, fr = rootfind.refine_brackets(fun, brackets, xtol=ROOT_XTOL * m)
+    for parity, (roots, fr) in zip("+-", refined):
         roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
         for r, f in zip(roots, fr):
             if not (lo < r < hi):
@@ -305,9 +316,8 @@ def find_bound_states(
 def _check_solution(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
     if not abs(sol.energy) < cfg.m:
         raise OutOfDomainSolution(f"E = {sol.energy} outside the gap")
-    res = _ScanResiduals(cfg, geom)
-    fun = res.plus if sol.parity == "+" else res.minus
-    r = float(np.abs(fun(np.asarray([sol.energy]))[0]))
+    both = _ScanResiduals(cfg, geom).both(np.asarray([sol.energy]))
+    r = float(np.abs(both["+-".index(sol.parity)][0]))
     # levels crowding the va accumulation point have huge residual slopes, so
     # the reinsertion threshold must stay loose; foreign solutions miss by O(1)
     if r > 1e-4 * cfg.scale():

@@ -319,7 +319,7 @@ def build_parser() -> _Parser:
     bs.add_argument("--x2", type=float, default=None)
     bs.add_argument("--preset", choices=["fig3"], default=None)
     bs.add_argument("--ngrid", type=int, default=4000)
-    bs.add_argument("--workers", type=int, default=1)
+    bs.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     bs.add_argument("--wavefunction", default=None, help="also write samples to this CSV")
     bs.add_argument("--nx", type=int, default=801)
     bs.add_argument("--out", default=None)
@@ -335,7 +335,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--vmax", type=float, default=12.0)
     sw.add_argument("--nv", type=int, default=2400)
     sw.add_argument("--ngrid", type=int, default=4000)
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 

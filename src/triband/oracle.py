@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rootfind
-from .boundstates import EDGE_MARGIN, VA_WINDOW, ZERO_WINDOW
+from .boundstates import VA_WINDOW, scan_segments
 from .model import REDUCE_RTOL, Geometry, PotentialConfig, SPole, kappa
 
 ORACLE_XTOL = 1e-10  # bisection tolerance relative to m
@@ -127,29 +127,23 @@ def oracle_bound_states(
     at E = va mirror the main solver's so both enumerate the same domain.
     """
     m = cfg.m
-    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
-    if abs(cfg.va) < m:
-        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
-    windows = list(windows) + list(extra_exclusions)
-    segments = rootfind.subtract_windows(lo, hi, windows)
+    grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), n_grid)
+    if not grids:
+        return []
 
-    total = sum(s[1] - s[0] for s in segments)
-    brackets = ([], [])  # per parity mismatch, u(a) then v(a)
-    for slo, shi in segments:
-        n = max(16, int(round(n_grid * (shi - slo) / total)))
-        xs = np.linspace(slo, shi, n)
-        for found, fs in zip(brackets, _parity_mismatch_batch(cfg, geom, xs, n_steps)):
-            found.extend(rootfind.sign_change_brackets(xs, fs))
+    def both(x):  # the u(a) and v(a) mismatches
+        return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)
+
+    xs = np.concatenate(grids)
+    lengths = [g.size for g in grids]
+    brackets = [rootfind.sign_change_brackets(xs, fs, lengths) for fs in both(xs)]
+    refined = rootfind.refine_brackets(
+        both, brackets[0] + brackets[1], xtol=ORACLE_XTOL * m, families=[len(b) for b in brackets]
+    )
     out = []
-    # refined and deduplicated per parity: an exponentially split doublet can
-    # sit closer than the dedup tolerance
-    for i, found in enumerate(brackets):
-
-        def fun(x):
-            return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)[i]
-
-        roots, fr = rootfind.refine_brackets(fun, found, xtol=ORACLE_XTOL * m)
+    # deduplicated per parity: an exponentially split doublet can sit closer
+    # than the dedup tolerance
+    for roots, fr in refined:
         roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL * m)
         out.extend(float(r) for r in roots)
     return sorted(out)

@@ -3,8 +3,16 @@
 All solvers in this package reduce to the same pattern: evaluate a smooth
 residual on a grid, bracket sign changes, refine each bracket.  Refinement is
 bisection to a fixed width followed by two secant polish steps that are only
-accepted when they reduce the residual.  The batch variants operate on arrays
-of brackets simultaneously, which keeps strength sweeps fast in pure numpy.
+accepted when they reduce the residual.  Everything works on arrays, so a
+whole solve costs a fixed number of residual calls:
+
+- `sign_change_brackets` scans many grids (rows) in one call;
+- `refine_brackets` refines several bracket families in one pass, with a
+  residual that returns one array per family (the two parities of the
+  bound-state solver and of the oracle).  Each bracket keeps the bisection
+  count of its own family, ceil(log2(widest bracket of the family / xtol))
+  + 1, and is frozen once that count is spent, so every family gets exactly
+  the floats a separate call on its brackets would return.
 """
 
 from __future__ import annotations
@@ -12,54 +20,92 @@ from __future__ import annotations
 import numpy as np
 
 
-def sign_change_brackets(x: np.ndarray, f: np.ndarray) -> list[tuple[float, float]]:
-    """Brackets [x_i, x_{i+1}] where f changes sign (exact zeros included)."""
+def sign_change_brackets(x, f, lengths) -> list[tuple[float, float]]:
+    """Brackets [x_i, x_{i+1}] where f changes sign (exact zeros included).
+
+    x and f hold consecutive rows (grids) of the given lengths, each scanned
+    on its own: no bracket spans two rows.  An exact zero at x_i gives the
+    bracket spanned by its neighbours within the row.
+    """
+    x = np.asarray(x, dtype=float)
     s = np.sign(f)
-    idx = np.where(s[:-1] * s[1:] < 0)[0]
-    out = [
-        (float(min(x[i], x[i + 1])), float(max(x[i], x[i + 1]))) for i in idx
-    ]
-    hits = np.where(s == 0)[0]
-    for i in hits:
-        lo = float(min(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]))
-        hi = float(max(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]))
-        if hi > lo:
-            out.append((lo, hi))
+    # first and last index of the row of every point
+    last = np.repeat(np.cumsum(lengths) - 1, lengths)
+    first = last - np.repeat(lengths, lengths) + 1
+    idx = np.flatnonzero(s[:-1] * s[1:] < 0)
+    idx = idx[idx < last[idx]]
+    lo = np.minimum(x[idx], x[idx + 1])
+    hi = np.maximum(x[idx], x[idx + 1])
+    hits = np.flatnonzero(s == 0)
+    left = x[np.maximum(hits - 1, first[hits])]
+    right = x[np.minimum(hits + 1, last[hits])]
+    hit_lo, hit_hi = np.minimum(left, right), np.maximum(left, right)
+    wide = hit_hi > hit_lo
+    out = list(zip(lo.tolist(), hi.tolist()))
+    out.extend(zip(hit_lo[wide].tolist(), hit_hi[wide].tolist()))
     return sorted(out)
 
 
-def refine_brackets(func, brackets, xtol: float, polish: int = 2):
+def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
+    """One uniform grid per (lo, hi) segment; the n_grid points are shared in
+    proportion to segment length, with at least 16 per segment."""
+    total = sum(shi - slo for slo, shi in segments)
+    return [
+        np.linspace(slo, shi, max(16, int(round(n_grid * (shi - slo) / total))))
+        for slo, shi in segments
+    ]
+
+
+def refine_brackets(func, brackets, xtol: float, families, polish: int = 2):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
-    func maps an array of abscissas to an array of residuals.  Returns
-    (roots, residuals) sorted by root.  Brackets whose endpoints do not
-    actually straddle a sign change (can happen after grid refinement around
-    an exact zero) collapse to the endpoint with the smaller |f|.
+    brackets is the concatenation of consecutive families of sizes
+    families[0], families[1], ...; func maps an array of abscissas to one
+    residual array per family (as _ScanResiduals.both returns the two
+    parities).  Returns one (roots, residuals) pair per family, sorted by
+    root, exactly what a call on that family's brackets alone returns.
+    Brackets whose endpoints do not actually straddle a sign change (can
+    happen after grid refinement around an exact zero) collapse to the
+    endpoint with the smaller |f|.
     """
+    sizes = list(families)
     if not brackets:
-        return np.empty(0), np.empty(0)
+        return [(np.empty(0), np.empty(0)) for _ in sizes]
     a = np.array([b[0] for b in brackets], dtype=float)
     b = np.array([b[1] for b in brackets], dtype=float)
-    fa = func(a)
-    fb = func(b)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+
+    def f(x):
+        return np.choose(label, func(x))
+
+    # every bracket gets the bisection count of the widest one in its family
+    cuts = np.cumsum(sizes)[:-1]
+    counts = [
+        int(np.ceil(np.log2(max(np.max(w), xtol) / xtol))) + 1 if w.size else 0
+        for w in np.split(b - a, cuts)
+    ]
+    n_iter = np.repeat(counts, sizes)
+    fa = f(a)
+    fb = f(b)
     bad = fa * fb > 0  # not a true bracket; keep best endpoint
-    n_iter = int(np.ceil(np.log2(max(np.max(b - a), xtol) / xtol))) + 1
-    for _ in range(n_iter):
+    for k in range(int(n_iter.max())):
         mid = 0.5 * (a + b)
-        fm = func(mid)
+        fm = f(mid)
+        live = k < n_iter
         take_left = fa * fm <= 0
-        b = np.where(take_left, mid, b)
-        fb = np.where(take_left, fm, fb)
-        a = np.where(take_left, a, mid)
-        fa = np.where(take_left, fa, fm)
+        left, right = live & take_left, live & ~take_left
+        b = np.where(left, mid, b)
+        fb = np.where(left, fm, fb)
+        a = np.where(right, mid, a)
+        fa = np.where(right, fm, fa)
     root = 0.5 * (a + b)
-    fr = func(root)
+    fr = f(root)
     for _ in range(polish):
         denom = fb - fa
         safe = np.abs(denom) > 0
         x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
         x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
-        fx = func(x)
+        fx = f(x)
         better = np.abs(fx) < np.abs(fr)
         root = np.where(better, x, root)
         fr = np.where(better, fx, fr)
@@ -69,8 +115,11 @@ def refine_brackets(func, brackets, xtol: float, polish: int = 2):
         f_fall = np.where(pick_a, fa, fb)
         root = np.where(bad, fallback, root)
         fr = np.where(bad, f_fall, fr)
-    order = np.argsort(root)
-    return root[order], fr[order]
+    out = []
+    for r, f_r in zip(np.split(root, cuts), np.split(fr, cuts)):
+        order = np.argsort(r)
+        out.append((r[order], f_r[order]))
+    return out
 
 
 def dedup_sorted(roots: np.ndarray, residuals: np.ndarray, tol: float):

@@ -24,6 +24,7 @@ fixed l they carry an offset of order m l that does not shrink with V.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,10 +140,14 @@ def sweep(
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
 
-    Linking matches each new state to the nearest active branch of the same
-    parity, predicted by local slope, with maximum jump
-    5 * dV * max(|slope|, 1); unmatched states open new branches and abandoned
-    branches close (both recorded as events).
+    Linking matches each active branch, in order, to the nearest untaken state
+    of the same parity, predicted by local slope, with maximum jump
+    5 * dV * max(|slope|, 1) (ties go to the lowest state index); unmatched
+    states open new branches and abandoned branches close (both recorded as
+    events).  The nearest state is found by bisection in an energy-sorted
+    list of the untaken states, so linking costs O(log n) per branch.
+    workers has no effect; it is accepted so that existing callers keep
+    working.
     """
     if v_grid is None:
         v_grid = pencil.v_grid
@@ -161,6 +166,11 @@ def sweep(
         dv = v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]
         dv = max(dv / 2.0, 1e-12)
         taken = [False] * len(levels[i])
+        # untaken states per parity: energies and indices, sorted by (energy, index)
+        free = {p: ([], []) for p in "+-"}
+        for j, st in sorted(enumerate(levels[i]), key=lambda js: (js[1].energy, js[0])):
+            free[st.parity][0].append(st.energy)
+            free[st.parity][1].append(j)
         still_active = []
         for br in active:
             pred = br.states[-1].energy
@@ -171,13 +181,7 @@ def sweep(
                     slope = (br.states[-1].energy - br.states[-2].energy) / dv_br
             pred = pred + slope * (v - br.v_values[-1])
             max_jump = 5.0 * dv * max(abs(slope), 1.0)
-            best, best_d = -1, max_jump
-            for j, st in enumerate(levels[i]):
-                if taken[j] or st.parity != br.parity:
-                    continue
-                d = abs(st.energy - pred)
-                if d < best_d:
-                    best, best_d = j, d
+            best = _take_nearest(*free[br.parity], pred, max_jump)
             if best >= 0:
                 taken[best] = True
                 br.v_values.append(float(v))
@@ -194,6 +198,37 @@ def sweep(
                     events.append((float(v), "appear", st.parity))
         active = still_active
     return BranchedSpectrum(pencil, geom, m, v_grid, levels, branches, events)
+
+
+def _take_nearest(energies, indices, pred, max_jump):
+    """Remove the state minimising d = |energy - pred| among those with
+    d < max_jump, the lowest index on a tie, from the parallel lists
+    (sorted by energy) and return its index; -1 if there is none.
+
+    Rounded subtraction is monotone, so d does not grow towards pred from
+    either side: the minimum sits next to the insertion point of pred, and
+    only runs of equal d next to it can tie.
+    """
+    k = bisect.bisect_right(energies, pred)
+    sides = []  # (d, positions) of the nearest run on each side of pred
+    for start, step, stop in ((k - 1, -1, -1), (k, 1, len(energies))):
+        if start == stop:
+            continue
+        d = abs(energies[start] - pred)
+        run = [start]
+        nxt = start + step
+        while nxt != stop and abs(energies[nxt] - pred) == d:
+            run.append(nxt)
+            nxt += step
+        sides.append((d, run))
+    if not sides:
+        return -1
+    d_min = min(d for d, _ in sides)
+    if not d_min < max_jump:
+        return -1
+    pos = min((p for d, run in sides if d == d_min for p in run), key=indices.__getitem__)
+    del energies[pos]
+    return indices.pop(pos)
 
 
 def asymptotic_energy(

@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triband import rootfind
 from triband.boundstates import (
+    EDGE_MARGIN,
+    ROOT_XTOL,
+    VA_WINDOW,
+    ZERO_WINDOW,
+    BoundStateSolution,
+    _ScanResiduals,
     boundary_values,
     connection_matrix,
     current,
@@ -20,7 +29,11 @@ from triband.model import (
     PoleAtVa,
     PotentialConfig,
     kappa,
+    sc_kernels,
+    sc_ratio,
 )
+from triband.spectra import PencilSpec
+from triband.verify import comparison_domain, random_configs
 
 FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
 FIG3_GEOM = Geometry.centered(0.5)
@@ -190,6 +203,181 @@ def test_worker_count_does_not_change_results():
     four = find_bound_states(FIG3_CFG, FIG3_GEOM, workers=4)
     assert [s.energy for s in one] == [s.energy for s in four]
 
+
+
+# --- bit identity with the per-parity scaffold --------------------------------
+# The solver used to bracket and refine each parity on its own: one residual
+# call per segment grid, per sign-change cell and per edge ladder, then one
+# refine_brackets call per parity, with both residual kernels evaluated
+# everywhere under np.where.  That code is kept here as the reference the
+# batched solver must reproduce float for float.
+
+
+def _ref_both(res, e):
+    k2 = res._k2(e)
+    kap = np.sqrt((res.m - e) * (res.m + e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2, c2 = sc_kernels(k2, res.half)
+        ratio = sc_ratio(np.minimum(k2, 0.0), res.half)
+        neg = k2 < 0
+        fac = kap if res.v2_zero else kap * (e - res.v2)
+        lead = 1.0 if res.v2_zero else e
+        rp = np.where(neg, fac * ratio + lead, fac * s2 + lead * c2)
+        if res.plane == "A":
+            lam = kap * (e - res.v2)
+            rm = np.where(neg, lam - e * k2 * ratio, lam * c2 - e * k2 * s2)
+        elif res.plane == "AB":
+            rm = np.where(neg, kap - e * (e - res.v2) * ratio, kap * c2 - e * (e - res.v2) * s2)
+        elif res.v2_zero:
+            rm = np.where(neg, kap - k2 * ratio, kap * c2 - k2 * s2)
+        else:
+            w = (e - res.v1) * (e - res.v3) / (e - res.va)
+            rm = np.where(neg, kap - e * w * ratio, kap * c2 - e * w * s2)
+    return rp, rm
+
+
+def _ref_sign_changes(x, f):
+    s = np.sign(f)
+    out = [
+        (float(min(x[i], x[i + 1])), float(max(x[i], x[i + 1])))
+        for i in np.where(s[:-1] * s[1:] < 0)[0]
+    ]
+    for i in np.where(s == 0)[0]:
+        nb = (x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)])
+        if max(nb) > min(nb):
+            out.append((float(min(nb)), float(max(nb))))
+    return sorted(out)
+
+
+def _ref_brackets(fun, segments, n_grid, refine=4):
+    brackets = []
+    total = sum(s[1] - s[0] for s in segments)
+    for slo, shi in segments:
+        n = max(16, int(round(n_grid * (shi - slo) / total)))
+        xs = np.linspace(slo, shi, n)
+        for a, b in _ref_sign_changes(xs, fun(xs)):
+            sub = np.linspace(a, b, refine + 1)
+            brackets.extend(_ref_sign_changes(sub, fun(sub)))
+        h = (shi - slo) / (n - 1)
+        for edge, inward in ((slo, +1.0), (shi, -1.0)):
+            lad = rootfind.edge_ladder(edge, inward, h)
+            lad = lad[(lad > slo) & (lad < shi)]
+            lad = np.sort(np.append(lad, edge + inward * h))
+            if inward < 0:
+                lad = lad[::-1]
+            brackets.extend(_ref_sign_changes(lad, fun(lad)))
+    return sorted(set(brackets))
+
+
+def _ref_refine(func, brackets, xtol, polish=2):
+    if not brackets:
+        return np.empty(0), np.empty(0)
+    a = np.array([b[0] for b in brackets], dtype=float)
+    b = np.array([b[1] for b in brackets], dtype=float)
+    fa, fb = func(a), func(b)
+    bad = fa * fb > 0
+    for _ in range(int(np.ceil(np.log2(max(np.max(b - a), xtol) / xtol))) + 1):
+        mid = 0.5 * (a + b)
+        fm = func(mid)
+        left = fa * fm <= 0
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+        fa, fb = np.where(left, fa, fm), np.where(left, fm, fb)
+    root = 0.5 * (a + b)
+    fr = func(root)
+    for _ in range(polish):
+        denom = fb - fa
+        safe = np.abs(denom) > 0
+        x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
+        x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
+        fx = func(x)
+        better = np.abs(fx) < np.abs(fr)
+        root, fr = np.where(better, x, root), np.where(better, fx, fr)
+    pick_a = np.abs(fa) < np.abs(fb)
+    root = np.where(bad, np.where(pick_a, a, b), root)
+    fr = np.where(bad, np.where(pick_a, fa, fb), fr)
+    order = np.argsort(root)
+    return root[order], fr[order]
+
+
+def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
+    m = cfg.m
+    res = _ScanResiduals(cfg, geom)
+    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
+    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
+    centers = [0.0]
+    if abs(cfg.va) < m:
+        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
+        centers.append(cfg.va)
+    windows.extend(extra_exclusions)
+    segments = rootfind.subtract_windows(lo, hi, windows)
+    out = []
+    for i, parity in enumerate("+-"):
+
+        def fun(x):
+            return _ref_both(res, np.asarray(x, dtype=float))[i]
+
+        roots, fr = _ref_refine(fun, _ref_brackets(fun, segments, 4000), ROOT_XTOL * m)
+        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
+        for r, f in zip(roots, fr):
+            if lo < r < hi and not any(abs(r - c) < 3e-10 * m for c in centers):
+                rho = float(np.sqrt((m - r) / (m + r)))
+                out.append(
+                    BoundStateSolution(
+                        float(r), parity, float(kappa(r, m)), rho, float(res._k2(r)), float(abs(f))
+                    )
+                )
+    out.sort(key=lambda s: s.energy)
+    return out
+
+
+# fig6 pencil (P2, alphas (1, 1, -1), l = 2) on nine V points: va = 0 is in the
+# gap, and the level count runs from 2 (V = 0) to 309 (|V| = 12)
+FIG6_CASES = [
+    (PencilSpec("P2", 1.0, 1.0, -1.0).config(v), Geometry.centered(2.0))
+    for v in np.linspace(-12.0, 12.0, 9)
+]
+SUITE_CASES = random_configs(42, 20)
+
+
+def test_batched_solver_matches_per_parity_reference():
+    cases = [(FIG3_CFG, FIG3_GEOM, ())]
+    cases += [(cfg, geom, ()) for cfg, geom in SUITE_CASES + FIG6_CASES]
+    cfg, geom = SUITE_CASES[1]
+    excl = comparison_domain(cfg, geom)
+    assert excl
+    cases.append((cfg, geom, excl))
+    for cfg, geom, excl in cases:
+        got = find_bound_states(cfg, geom, extra_exclusions=excl)
+        want = _ref_find_bound_states(cfg, geom, extra_exclusions=excl)
+        assert len(got) == len(want), cfg
+        for g, w in zip(got, want):
+            # every field equal as a float, not merely close
+            assert g == w, (cfg, g, w)
+
+
+def test_solver_emits_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg, geom in SUITE_CASES + FIG6_CASES:
+            find_bound_states(cfg, geom)
+
+
+def test_residual_calls_per_solve_do_not_grow_with_levels(monkeypatch):
+    calls = []
+    both = _ScanResiduals.both
+
+    def counted(self, e):
+        calls.append(np.size(e))
+        return both(self, e)
+
+    monkeypatch.setattr(_ScanResiduals, "both", counted)
+    n_calls, n_levels = [], []
+    for cfg, geom in FIG6_CASES:
+        calls.clear()
+        n_levels.append(len(find_bound_states(cfg, geom)))
+        n_calls.append(len(calls))
+    assert min(n_levels) <= 2 and max(n_levels) >= 300
+    assert max(n_calls) <= 40, n_calls
 
 def _solutions():
     # well-isolated levels: keep clear of the accumulation point at va and of

@@ -1,0 +1,62 @@
+import numpy as np
+
+from triband import rootfind
+
+
+def _two_parities(x):
+    return np.sin(7.0 * x), np.cos(5.0 * x) - 0.3
+
+
+def _one_parity(k):
+    return lambda x: (_two_parities(x)[k],)
+
+
+def test_sign_change_rows_match_one_call_per_row():
+    rows = [
+        np.linspace(-1.0, 1.0, 41),
+        np.array([0.5]),  # a single point: no bracket
+        np.array([-0.2, 0.0, 0.3]),  # exact zero inside the row
+        np.array([0.0, 0.4, 0.9]),  # exact zero at the row start
+        np.array([-0.7, -0.1, 0.0]),  # and at the row end
+        np.linspace(2.0, 3.0, 17),
+    ]
+    fs = [np.sin(7.0 * r) if k % 2 == 0 else r for k, r in enumerate(rows)]
+    want = sorted(
+        b for r, f in zip(rows, fs) for b in rootfind.sign_change_brackets(r, f, [r.size])
+    )
+    got = rootfind.sign_change_brackets(
+        np.concatenate(rows), np.concatenate(fs), [r.size for r in rows]
+    )
+    assert got == want
+    # a bracket never spans two rows, although the concatenation changes sign
+    # between the end of one row and the start of the next
+    a, b = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    assert rootfind.sign_change_brackets(
+        np.concatenate([a, b]), np.array([1.0, 2.0, -1.0, -2.0]), [2, 2]
+    ) == []
+
+
+def test_joint_refine_equals_one_call_per_family():
+    xtol = 1e-12
+    # family 0 has narrow brackets, family 1 wide ones, so their bisection
+    # counts differ; the last family-1 bracket does not straddle a sign change
+    plus = [(k * np.pi / 7.0 - 1e-3, k * np.pi / 7.0 + 2e-3) for k in range(-3, 4)]
+    z = np.arccos(0.3) / 5.0
+    minus = [(z - 0.2, z + 0.25), (-z - 0.3, -z + 0.1), (1.2, 1.3)]
+    # without polish the roots are the bisection midpoints, so one iteration
+    # more or less than a family's own count would show
+    for polish in (0, 2):
+        got = rootfind.refine_brackets(
+            _two_parities, plus + minus, xtol, [len(plus), len(minus)], polish=polish
+        )
+        for k, fam in enumerate((plus, minus)):
+            (alone,) = rootfind.refine_brackets(
+                _one_parity(k), fam, xtol, [len(fam)], polish=polish
+            )
+            assert np.array_equal(got[k][0], alone[0])
+            assert np.array_equal(got[k][1], alone[1])
+    # an empty family gets an empty result, and leaves the others unchanged
+    got = rootfind.refine_brackets(_two_parities, minus, xtol, [0, len(minus)])
+    assert got[0][0].size == 0 and got[0][1].size == 0
+    (alone,) = rootfind.refine_brackets(_one_parity(1), minus, xtol, [len(minus)])
+    assert np.array_equal(got[1][0], alone[0]) and np.array_equal(got[1][1], alone[1])

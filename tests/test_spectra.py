@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from triband.boundstates import find_bound_states
+from triband import spectra
+from triband.boundstates import BoundStateSolution, find_bound_states
 from triband.model import Geometry, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
 from triband.spectra import (
@@ -149,6 +150,86 @@ def test_sweep_branch_linking_two_level_family():
         jumps = np.abs(np.diff(br.energies()))
         assert np.all(jumps < 0.5)
 
+
+
+def _greedy_link(v_grid, levels):
+    """The linker sweep used before bisection: every active branch scans all
+    states of the current V.  Kept as the reference the bisection linker must
+    reproduce."""
+    branches, active, events = [], [], []
+    for i, v in enumerate(v_grid):
+        dv = max((v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]) / 2.0, 1e-12)
+        taken = [False] * len(levels[i])
+        still_active = []
+        for br in active:
+            slope = 0.0
+            if len(br.states) >= 2:
+                dv_br = br.v_values[-1] - br.v_values[-2]
+                if dv_br != 0:
+                    slope = (br.states[-1].energy - br.states[-2].energy) / dv_br
+            pred = br.states[-1].energy + slope * (v - br.v_values[-1])
+            best, best_d = -1, 5.0 * dv * max(abs(slope), 1.0)
+            for j, st in enumerate(levels[i]):
+                if not taken[j] and st.parity == br.parity and abs(st.energy - pred) < best_d:
+                    best, best_d = j, abs(st.energy - pred)
+            if best >= 0:
+                taken[best] = True
+                br.v_values.append(float(v))
+                br.states.append(levels[i][best])
+                still_active.append(br)
+            else:
+                events.append((float(v), "disappear", br.parity))
+        for j, st in enumerate(levels[i]):
+            if not taken[j]:
+                br = spectra.Branch(parity=st.parity, v_values=[float(v)], states=[st])
+                branches.append(br)
+                still_active.append(br)
+                if i > 0:
+                    events.append((float(v), "appear", st.parity))
+        active = still_active
+    return [(b.parity, b.v_values, b.states) for b in branches], events
+
+
+def _linked(spectrum):
+    return [(b.parity, b.v_values, b.states) for b in spectrum.branches], spectrum.events
+
+
+def test_bisection_linking_matches_greedy_scan_on_fig6():
+    # the first 40 V points of the fig6 preset grid at stride 20: 180-309
+    # levels per point, many branches opening and closing
+    v_grid = np.linspace(-12.0, 12.0, 2400)[::20][:40]
+    spectrum = sweep(PencilSpec("P2", 1, 1, -1), Geometry.centered(2.0), v_grid)
+    branches, events = _linked(spectrum)
+    assert (branches, events) == _greedy_link(spectrum.v_grid, spectrum.levels)
+    assert len(branches) > 300 and events
+
+
+def _state(e, parity="+"):
+    return BoundStateSolution(e, parity, 1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "candidates, expected",
+    [
+        # two states at equal distance 0.25 from the prediction 0.0: the one
+        # listed first wins, whichever side of the prediction it is on
+        ([0.25, -0.25], 0.25),
+        ([-0.25, 0.25], -0.25),
+        # a three-way tie, two of them at equal energy: index 0 wins
+        ([0.25, -0.25, 0.25], 0.25),
+        # a nearer state of the other parity is not a candidate
+        ([-0.25, _state(0.01, "-"), 0.25], -0.25),
+    ],
+)
+def test_linking_tie_goes_to_lowest_index(monkeypatch, candidates, expected):
+    later = [c if isinstance(c, BoundStateSolution) else _state(c) for c in candidates]
+    by_v = {0.0: [_state(0.0)], 1.0: later, 2.0: []}
+    monkeypatch.setattr(spectra, "find_bound_states", lambda cfg, geom, **kw: by_v[cfg.v22])
+    spectrum = sweep(PencilSpec("P1", 0, 1, 0), Geometry.centered(1.0), [0.0, 1.0, 2.0])
+    first = spectrum.branches[0]
+    assert first.v_values == [0.0, 1.0]
+    assert first.states[1] is later[[s.energy for s in later].index(expected)]
+    assert _linked(spectrum) == _greedy_link(spectrum.v_grid, spectrum.levels)
 
 def test_type_p_connector_crosses_imaginary_band():
     # along v11 = v22 = v33 = V the even level starts inside the evanescent
