@@ -31,7 +31,6 @@ from . import rootfind
 from .model import (
     SQRT2,
     POLE_RTOL,
-    REDUCE_RTOL,
     GapEdge,
     Geometry,
     MuPole,
@@ -39,6 +38,7 @@ from .model import (
     PoleAtVa,
     PotentialConfig,
     ZeroEnergyPole,
+    dispersion,
     k_squared,
     kappa,
     sc_kernels,
@@ -95,15 +95,15 @@ class WaveFunctionSample:
 
 def connection_matrix(cfg: PotentialConfig, geom: Geometry, e: float) -> ConnectionMatrix:
     """Connection matrix of the rectangle at energy E (any real E off the pole)."""
-    # on the plane v2 = va the ratio W = k^2/(E - v2) must divide by the same
-    # float as the reduced k^2 so that l12 l21 = -k^2 s^2 holds exactly
-    pole = cfg.v2 if cfg.on_plane_a(REDUCE_RTOL) else cfg.va
+    plane, k2_of, w_of = dispersion(cfg)
+    # W has its pole at va off the plane v2 = va; on it the guard sits at v2
+    pole = cfg.va if plane == "generic" else cfg.v2
     tol = POLE_RTOL * max(cfg.m, abs(pole))
     if abs(e - pole) < tol:
         raise PoleAtVa(f"connection matrix singular at E = {pole}")
-    k2 = k_squared(cfg, e)
+    k2 = k2_of(e)
     s, c = sc_kernels(k2, geom.l)
-    w = (e - cfg.v1) * (e - cfg.v3) / (e - pole)
+    w = w_of(e)
     return ConnectionMatrix(
         l11=float(c),
         l12=float(SQRT2 * (e - cfg.v2) * s),
@@ -158,26 +158,14 @@ class _ScanResiduals:
     """
 
     def __init__(self, cfg: PotentialConfig, geom: Geometry):
-        self.v1, self.v2, self.v3 = cfg.v1, cfg.v2, cfg.v3
-        self.va, self.m = cfg.va, cfg.m
+        self.v2, self.m = cfg.v2, cfg.m
         self.half = 0.5 * geom.l
-        scale = cfg.scale()
-        self.v2_zero = abs(self.v2) <= 1e-14 * scale
-        if cfg.on_plane_a(REDUCE_RTOL):
-            self.plane = "AB" if cfg.on_plane_b(REDUCE_RTOL) else "A"
-        else:
-            self.plane = "generic"
-
-    def _k2(self, e):
-        if self.plane == "AB":
-            return (e - self.v2) ** 2
-        if self.plane == "A":
-            return (e - self.v1) * (e - self.v3)
-        return (e - self.v1) * (e - self.v2) * (e - self.v3) / (e - self.va)
+        self.v2_zero = abs(self.v2) <= 1e-14 * cfg.scale()
+        self.plane, self.k2, self.w = dispersion(cfg)
 
     def both(self, e):
         e = np.asarray(e, dtype=float)
-        k2 = self._k2(e)
+        k2 = self.k2(e)
         kap = np.sqrt((self.m - e) * (self.m + e))
         # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
         # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is
@@ -192,16 +180,15 @@ class _ScanResiduals:
         fac = kap if self.v2_zero else kap * (e - self.v2)
         lead = 1.0 if self.v2_zero else e
         rp = fac * s + lead * c
-        # minus family: r_minus = lam * c - g * s, E times it off the v2 = 0 case
+        # minus family: E * r_minus on plane A, where k^2 keeps no zero at v2;
+        # elsewhere E * r_minus/(E - v2) = kap c - E W s, or r_minus itself
+        # off the planes when v2 == 0
         if self.plane == "A":
-            lam, g = kap * (e - self.v2), e * k2
-        elif self.plane == "AB":
-            lam, g = kap, e * (e - self.v2)
-        elif self.v2_zero:
-            lam, g = kap, k2
+            rm = kap * (e - self.v2) * c - e * k2 * s
+        elif self.plane == "generic" and self.v2_zero:
+            rm = kap * c - k2 * s
         else:
-            lam, g = kap, e * ((e - self.v1) * (e - self.v3) / (e - self.va))
-        rm = lam * c - g * s
+            rm = kap * c - e * self.w(e) * s
         return rp, rm
 
 
@@ -267,7 +254,6 @@ def find_bound_states(
     cfg: PotentialConfig,
     geom: Geometry,
     n_grid: int = 4000,
-    workers: int = 1,
     extra_exclusions=(),
 ) -> list[BoundStateSolution]:
     """All bound-state levels in the gap, sorted by energy.
@@ -279,13 +265,11 @@ def find_bound_states(
     parities share every residual call, so a solve costs a fixed number of
     calls (about 35) whatever the number of levels.  extra_exclusions is a
     list of (lo, hi) intervals left out of the scan (used by cross-validation
-    harnesses to equalize domains).  workers has no effect; it is accepted so
-    that existing callers keep working.
+    harnesses to equalize domains).
     """
     m = cfg.m
     res = _ScanResiduals(cfg, geom)
     lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    centers = [0.0, cfg.va] if abs(cfg.va) < m else [0.0]
     brackets = _scan_brackets(res.both, scan_segments(cfg, extra_exclusions), n_grid)
     refined = rootfind.refine_brackets(
         res.both,
@@ -296,16 +280,19 @@ def find_bound_states(
     out = []
     for parity, (roots, fr) in zip("+-", refined):
         roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
-        for r, f in zip(roots, fr):
-            if not (lo < r < hi):
-                continue
-            # discard ladder artifacts that collapsed onto a window center
-            if any(abs(r - c) < 3e-10 * m for c in centers):
-                continue
-            k2 = float(res._k2(r))
-            kap = float(kappa(r, m))
-            rho = float(np.sqrt((m - r) / (m + r)))
-            out.append(BoundStateSolution(float(r), parity, kap, rho, k2, float(abs(f))))
+        keep = (lo < roots) & (roots < hi)
+        roots, fr = roots[keep], fr[keep]
+        fields = (
+            roots,
+            kappa(roots, m),
+            np.sqrt((m - roots) / (m + roots)),
+            res.k2(roots),
+            np.abs(fr),
+        )
+        out.extend(
+            BoundStateSolution(r, parity, kap, rho, k2, f)
+            for r, kap, rho, k2, f in zip(*(a.tolist() for a in fields))
+        )
     out.sort(key=lambda s: s.energy)
     return out
 

@@ -133,7 +133,7 @@ def cmd_boundstates(args) -> int:
         cfg = PotentialConfig(args.v[0] / m, args.v[1] / m, args.v[2] / m, 1.0)
         geom = _geometry(args)
     t0 = time.perf_counter()
-    sols = find_bound_states(cfg, geom, n_grid=args.ngrid, workers=args.workers)
+    sols = find_bound_states(cfg, geom, n_grid=args.ngrid)
     rows = [(s.parity, s.energy, s.kappa, s.residual) for s in sols]
     io_utils.write_csv(args.out, ["parity", "E_b", "kappa", "residual"], rows)
     if args.wavefunction:
@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
     geom = Geometry.centered(l)
     v_grid = np.linspace(args.vmin, args.vmax, args.nv)
     t0 = time.perf_counter()
-    spectrum = sweep(pencil, geom, v_grid, n_grid=args.ngrid, workers=args.workers)
+    spectrum = sweep(pencil, geom, v_grid, n_grid=args.ngrid)
     rows = []
     for bi, br in enumerate(spectrum.branches):
         for v, st in zip(br.v_values, br.states):
@@ -319,7 +319,6 @@ def build_parser() -> _Parser:
     bs.add_argument("--x2", type=float, default=None)
     bs.add_argument("--preset", choices=["fig3"], default=None)
     bs.add_argument("--ngrid", type=int, default=4000)
-    bs.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     bs.add_argument("--wavefunction", default=None, help="also write samples to this CSV")
     bs.add_argument("--nx", type=int, default=801)
     bs.add_argument("--out", default=None)
@@ -335,7 +334,6 @@ def build_parser() -> _Parser:
     sw.add_argument("--vmax", type=float, default=12.0)
     sw.add_argument("--nv", type=int, default=2400)
     sw.add_argument("--ngrid", type=int, default=4000)
-    sw.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 

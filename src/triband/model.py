@@ -55,10 +55,6 @@ class ZeroK(DomainError):
     """k = 0 hit where an expression carries a 1/k factor."""
 
 
-class ZeroDenominator(DomainError):
-    """Division by E - v2 requested where the guarded form must be used."""
-
-
 class GapEdge(DomainError):
     """kappa below tolerance: E too close to the gap edges +-m."""
 
@@ -287,23 +283,53 @@ def sc_ratio(w, t):
 
 # --- scalar kernels ----------------------------------------------------------
 
+def dispersion(cfg: PotentialConfig):
+    """(plane, k2, w): the reduction of cfg and its k^2(E) and W(E) = k^2/(E - v2).
+
+    plane is "generic", "A" (v2 = va) or "AB" (also v1 = v3), decided once at
+    REDUCE_RTOL; k2 and w are elementwise functions of E with one expression
+    per plane:
+
+        generic  k2 = (E - v1)(E - v2)(E - v3)/(E - va)   W = (E - v1)(E - v3)/(E - va)
+        A        k2 = (E - v1)(E - v3)                    W = (E - v1)(E - v3)/(E - v2)
+        AB       k2 = (E - v2)^2                          W = E - v2
+
+    On the planes the pole of k^2 at va cancels against its zero at v2.
+    Neither function guards its pole (va off the planes, v2 for W on plane
+    A): k_squared and the connection matrix raise PoleAtVa there, and the
+    bound-state scan keeps a window around va.
+    """
+    v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
+    if not cfg.on_plane_a(REDUCE_RTOL):
+        return (
+            "generic",
+            lambda e: (e - v1) * (e - v2) * (e - v3) / (e - va),
+            lambda e: (e - v1) * (e - v3) / (e - va),
+        )
+    if not cfg.on_plane_b(REDUCE_RTOL):
+        return (
+            "A",
+            lambda e: (e - v1) * (e - v3),
+            lambda e: (e - v1) * (e - v3) / (e - v2),
+        )
+    return "AB", lambda e: (e - v2) ** 2, lambda e: e - v2
+
+
 def k_squared(cfg: PotentialConfig, e):
     """Squared wave number (E - v1)(E - v2)(E - v3)/(E - va); elementwise.
 
     A negative value signals an imaginary wave number.  On the plane v2 = va
-    the pole cancels against the zero at v2 and the reduced polynomial form
-    (E - v1)(E - v3) is returned, valid for every E.  Off the plane, querying
-    within POLE_RTOL of va raises PoleAtVa.
+    the reduced polynomial forms of dispersion() are returned, valid for
+    every E.  Off the plane, querying within POLE_RTOL of va raises PoleAtVa.
     """
     e = np.asarray(e, dtype=float)
-    v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
-    if cfg.on_plane_a(REDUCE_RTOL):
-        out = (e - v1) * (e - v3)
-    else:
+    plane, k2, _ = dispersion(cfg)
+    if plane == "generic":
+        va = cfg.va
         tol = POLE_RTOL * max(cfg.m, abs(va))
         if np.any(np.abs(e - va) < tol):
             raise PoleAtVa(f"E within {tol} of the pole at va = {va}")
-        out = (e - v1) * (e - v2) * (e - v3) / (e - va)
+    out = k2(e)
     if out.ndim == 0:
         return float(out)
     return out

@@ -17,7 +17,8 @@ The delta rate covers ground states only; excited H/W ladders require the
 two_thirds (H1) or inv_square (H2, W1, W2) rates.  The pure first-component
 potential (alpha2 = alpha3 = 0 on P1) keeps kl -> 0 with finite k in every
 rate and therefore supports no bound state in the limit: limit_energy returns
-None for it.
+None for it.  Every other limit energy is spectra.one_point_energy, the one
+table of the closed-form laws, which spectra.asymptotic_energy reads too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .model import (
     UnsupportedCombination,
     sc_kernels,
 )
-from .spectra import PencilSpec, classify
+from .spectra import PencilSpec, classify, one_point_energy
 
 FAMILIES = ("delta", "two_thirds", "inv_square")
 
@@ -95,95 +96,24 @@ def level_parity(tag: str, n: int) -> str:
     raise TypeMismatch(f"levels of type {tag!r} are labeled by parity, not index")
 
 
-def _ground_delta(g: float, m: float) -> float:
-    return m * g / np.sqrt(4.0 + g * g)
-
-
 def limit_energy(
     pencil: PencilSpec, law: SqueezeLaw, n: int = 0, parity: str | None = None, m: float = 1.0
 ):
     """Closed-form limit energy, or None when the limit holds no bound state.
 
-    For types P and D (delta rate only) the two levels are selected by
-    parity '+'/'-'; for the ladder types the index n selects the level and
-    n = 0 always denotes the separate ground branch.  Raises
-    OutOfValidityWindow when (g, n) falls outside a ladder's stated interval
-    and UnsupportedCombination for (type, rate) pairs the theory does not
-    cover.
+    spectra.one_point_energy for the pencil's spectrum type and alpha1, which
+    documents parity, n and the errors raised.
+
+    Caveat: with the inv_square rate, n = 0 (H2 and W1) returns the delta
+    ground law evaluated at the inv_square g.  That is not the limit of the
+    finite-width ground level, which along V = g/l^2 follows the delta law at
+    V l = g/l -> infinity: towards 0 for W1 and towards m for H2.
     """
-    g = law.g
-    stype = classify(pencil)
-    tag = stype.tag
     if _is_type_three(pencil):
         return None
-    if tag in ("P", "D"):
-        if law.family != "delta":
-            raise UnsupportedCombination(f"type {tag} is realized by the delta rate only")
-        if parity not in ("+", "-"):
-            raise TypeMismatch("types P and D need parity '+' or '-'")
-        beta = stype.beta
-        x = 0.5 * np.sqrt(abs(beta)) * g
-        if tag == "P":
-            # sin/cos forms of sgn(tan x) [1 + beta cot^2 x]^{-1/2} etc.,
-            # finite through the tan/cot singularities
-            s, c = np.sin(x), np.cos(x)
-            if parity == "+":
-                return float(m * np.sign(c) * s / np.sqrt(s * s + beta * c * c))
-            return float(-m * np.sign(s) * c / np.sqrt(c * c + beta * s * s))
-        th = np.tanh(abs(x))
-        sgn = np.sign(g)
-        if parity == "+":
-            return float(sgn * m * th / np.sqrt(th * th - beta))
-        return float(sgn * m / np.sqrt(1.0 - beta * th * th))
-    if tag == "H2":
-        if law.family == "delta":
-            return _ground_delta(g, m) if n == 0 else None
-        if law.family == "inv_square":
-            if n == 0:
-                return _ground_delta(g, m)
-            q = n * n * np.pi * np.pi
-            return float(q * m / (2.0 * g) * (np.sqrt(1.0 + 4.0 * g * g / q**2) - 1.0))
-        raise UnsupportedCombination("type H2 uses the delta or inv_square rates")
-    if tag == "H1":
-        if law.family != "two_thirds":
-            raise UnsupportedCombination("type H1 excited levels use the two_thirds rate")
-        if n < 1:
-            raise UnsupportedCombination("the two_thirds ladder starts at n = 1")
-        alpha = abs(pencil.alpha1)
-        if not 0 < abs(g) < (n * np.pi / alpha) ** (2.0 / 3.0):
-            raise OutOfValidityWindow(
-                f"two_thirds level n={n} needs 0 < |g| < (n pi/alpha)^(2/3)"
-            )
-        return float((pencil.alpha1 / (n * np.pi)) ** 2 * g**3 * m)
-    if tag == "W1":
-        beta = stype.beta
-        if law.family == "delta":
-            if n == 0:
-                return float(-np.sign(beta * g) * m / np.sqrt(1.0 + (beta * g) ** 2 / 4.0))
-            return None
-        if law.family == "inv_square":
-            if n == 0:
-                return float(-np.sign(beta * g) * m / np.sqrt(1.0 + (beta * g) ** 2 / 4.0))
-            if not abs(beta * g) > (n * np.pi) ** 2:
-                raise OutOfValidityWindow(f"inv_square level n={n} needs |beta g| > (n pi)^2")
-            return float(-(n * np.pi) ** 2 * m / (beta * g))
-        raise UnsupportedCombination("type W1 uses the delta or inv_square rates")
-    if tag == "W2":
-        alpha = pencil.alpha1
-        if law.family == "delta":
-            if n != 0:
-                return None
-            # real interior wave number in the limit requires g < 0; for
-            # g > 0 the level is absorbed at the upper threshold
-            return _ground_delta(g, m) if g < 0 else None
-        if law.family == "inv_square":
-            if n == 0:
-                return _ground_delta(g, m) if g < 0 else None
-            if not g < -(n * np.pi) ** 2 / (2.0 * alpha):
-                raise OutOfValidityWindow(f"inv_square level n={n} needs g < -(n pi)^2/(2 alpha)")
-            return float(-(1.0 + (n * np.pi) ** 2 / (alpha * g)) * m)
-        raise UnsupportedCombination("type W2 uses the delta or inv_square rates")
-    raise UnsupportedCombination(f"no squeezing limit tabulated for type {tag!r}")
+    return one_point_energy(
+        classify(pencil), law.family, law.g, n=n, parity=parity, m=m, alpha=pencil.alpha1
+    )
 
 
 def chi(e: float, m: float = 1.0) -> float:

@@ -15,11 +15,12 @@ Large-|V| behavior sorts the pencils into four species:
     W: well-like n^2 ladders detaching from the thresholds (a2 = 0 with
        a1, a3 != 0 and a1 + a3 != 0, or a1 > 0, a2 != 0, a3 = 0 on P1).
 
-The closed-form level laws of asymptotic_energy are the one-point
-(point-interaction) approximation: for P and D they equal
-pointlimits.limit_energy at the delta strength g = V l, for the W1 ladder at
-the inv_square strength g = V l^2.  They are exact as l -> 0 at fixed g; at
-fixed l they carry an offset of order m l that does not shrink with V.
+one_point_energy is the one table of the closed-form one-point
+(point-interaction) laws, keyed by species, squeezing rate and strength g.
+pointlimits.limit_energy reads it for a pencil and a SqueezeLaw,
+asymptotic_energy for a strength V and a width l.  The laws are exact as
+l -> 0 at fixed g; at fixed l they carry an offset of order m l that does not
+shrink with V.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundstates import BoundStateSolution, find_bound_states
-from .model import Geometry, PotentialConfig, TypeMismatch
+from .model import (
+    Geometry,
+    OutOfValidityWindow,
+    PotentialConfig,
+    TypeMismatch,
+    UnsupportedCombination,
+)
 
 ALPHA_TOL = 1e-12
 
@@ -136,7 +143,6 @@ def sweep(
     v_grid=None,
     m: float = 1.0,
     n_grid: int = 4000,
-    workers: int = 1,
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
 
@@ -146,8 +152,6 @@ def sweep(
     states open new branches and abandoned branches close (both recorded as
     events).  The nearest state is found by bisection in an energy-sorted
     list of the untaken states, so linking costs O(log n) per branch.
-    workers has no effect; it is accepted so that existing callers keep
-    working.
     """
     if v_grid is None:
         v_grid = pencil.v_grid
@@ -157,7 +161,7 @@ def sweep(
     levels = []
     for v in v_grid:
         cfg = pencil.config(v, m)
-        levels.append(find_bound_states(cfg, geom, n_grid=n_grid, workers=workers))
+        levels.append(find_bound_states(cfg, geom, n_grid=n_grid))
 
     branches: list[Branch] = []
     active: list[Branch] = []
@@ -231,6 +235,88 @@ def _take_nearest(energies, indices, pred, max_jump):
     return indices.pop(pos)
 
 
+def one_point_energy(
+    stype: SpectrumType,
+    family: str,
+    g: float,
+    n: int = 0,
+    parity: str | None = None,
+    m: float = 1.0,
+    alpha: float = 1.0,
+):
+    """Closed-form level of the point interaction, or None when it holds none.
+
+    The one table of the one-point laws: stype is the spectrum species,
+    family the squeezing rate ("delta", "two_thirds" or "inv_square") and g
+    its strength, alpha the pencil coefficient a1 (H1, W2).  For types P and
+    D (delta rate only) parity '+'/'-' selects the level; for the ladder
+    types the index n does, and n = 0 always denotes the separate ground
+    branch.  Raises OutOfValidityWindow when (g, n) falls outside a ladder's
+    stated interval, UnsupportedCombination for (type, rate) pairs the
+    theory does not cover, and TypeMismatch when stype lacks the beta or
+    alpha its law needs.
+    """
+    tag = stype.tag
+    beta = stype.beta
+    if tag in ("P", "D"):
+        if family != "delta":
+            raise UnsupportedCombination(f"type {tag} is realized by the delta rate only")
+        if parity not in ("+", "-"):
+            raise TypeMismatch("types P and D need parity '+' or '-'")
+        if beta is None or (beta <= 0 if tag == "P" else beta >= 0):
+            raise TypeMismatch(f"type {tag} needs beta {'>' if tag == 'P' else '<'} 0")
+        x = 0.5 * np.sqrt(abs(beta)) * g
+        if tag == "P":
+            # sin/cos forms of sgn(tan x) [1 + beta cot^2 x]^{-1/2} etc.,
+            # finite through the tan/cot singularities
+            s, c = np.sin(x), np.cos(x)
+            if parity == "+":
+                return float(m * np.sign(c) * s / np.sqrt(s * s + beta * c * c))
+            return float(-m * np.sign(s) * c / np.sqrt(c * c + beta * s * s))
+        th = np.tanh(abs(x))
+        sgn = np.sign(g)
+        if parity == "+":
+            return float(sgn * m * th / np.sqrt(th * th - beta))
+        return float(sgn * m / np.sqrt(1.0 - beta * th * th))
+    if tag == "H1":
+        if family != "two_thirds":
+            raise UnsupportedCombination("type H1 excited levels use the two_thirds rate")
+        if n < 1:
+            raise UnsupportedCombination("the two_thirds ladder starts at n = 1")
+        if not 0 < abs(g) < (n * np.pi / abs(alpha)) ** (2.0 / 3.0):
+            raise OutOfValidityWindow(
+                f"two_thirds level n={n} needs 0 < |g| < (n pi/alpha)^(2/3)"
+            )
+        return float((alpha / (n * np.pi)) ** 2 * g**3 * m)
+    if tag not in ("H2", "W1", "W2"):
+        raise UnsupportedCombination(f"no squeezing limit tabulated for type {tag!r}")
+    if family not in ("delta", "inv_square"):
+        raise UnsupportedCombination(f"type {tag} uses the delta or inv_square rates")
+    if tag == "W1" and beta is None:
+        raise TypeMismatch("type W1 needs beta")
+    if tag == "W2" and alpha <= 0:
+        raise TypeMismatch("type W2 needs alpha = a1 > 0")
+    # the ground branch: the same law for both rates (see pointlimits.limit_energy)
+    if n == 0:
+        if tag == "W1":
+            return float(-np.sign(beta * g) * m / np.sqrt(1.0 + (beta * g) ** 2 / 4.0))
+        # for W2 a real interior wave number in the limit requires g < 0; for
+        # g > 0 the level is absorbed at the upper threshold
+        return m * g / np.sqrt(4.0 + g * g) if tag == "H2" or g < 0 else None
+    if family == "delta":
+        return None
+    if tag == "H2":
+        q = n * n * np.pi * np.pi
+        return float(q * m / (2.0 * g) * (np.sqrt(1.0 + 4.0 * g * g / q**2) - 1.0))
+    if tag == "W1":
+        if not abs(beta * g) > (n * np.pi) ** 2:
+            raise OutOfValidityWindow(f"inv_square level n={n} needs |beta g| > (n pi)^2")
+        return float(-(n * np.pi) ** 2 * m / (beta * g))
+    if not g < -(n * np.pi) ** 2 / (2.0 * alpha):
+        raise OutOfValidityWindow(f"inv_square level n={n} needs g < -(n pi)^2/(2 alpha)")
+    return float(-(1.0 + (n * np.pi) ** 2 / (alpha * g)) * m)
+
+
 def asymptotic_energy(
     stype: SpectrumType,
     v: float,
@@ -239,7 +325,7 @@ def asymptotic_energy(
     m: float = 1.0,
     alpha: float = 1.0,
 ):
-    """One-point level laws per spectrum species.
+    """One-point level laws per spectrum species at strength V and width l.
 
     Returns a dict of predictions; which keys are present depends on the
     species.  P and D yield {'+': E+, '-': E-}; H2 and the W species yield
@@ -247,67 +333,35 @@ def asymptotic_energy(
     alpha is the nonzero pencil coefficient for H1/W2 (a1 = -a3 resp. a1).
     The formulas assume the normalization alpha2 in {0, 1} used throughout.
 
-    These are the point-interaction limits, not fixed-width asymptotics: P
-    and D equal pointlimits.limit_energy with the delta law at g = V l, and
-    the W1 ladder (n >= 1) equals it with the inv_square law at g = V l^2.
-    They are exact as l -> 0 at fixed g.  At fixed l they carry an offset of
-    order m l: on the P pencil (1, 1, 1), for instance, k^2 = (E - V)^2 - m^2,
-    so the true phase is (V - E) l/2 where the law uses V l/2.
+    These are the point-interaction limits, not fixed-width asymptotics:
+    one_point_energy at the strength g that V and l give, delta with
+    g = V l for P, D and every n = 0 level, two_thirds with
+    g = V (l^2/m)^(1/3) for the H1 ladder, inv_square with g = V l^2 m for
+    the other ladders.  The one law of its own is the W2 ground level at
+    V > 0, m/sqrt(1 + 2 alpha m/V), which the point limit absorbs at the
+    threshold.  They are exact as l -> 0 at fixed g.  At fixed l they carry
+    an offset of order m l: on the P pencil (1, 1, 1), for instance,
+    k^2 = (E - V)^2 - m^2, so the true phase is (V - E) l/2 where the law
+    uses V l/2.  A law outside its validity window raises TypeMismatch.
     """
     l = geom.l
-    if stype.tag == "P":
-        beta = stype.beta
-        if beta is None or beta <= 0:
-            raise TypeMismatch("P asymptotics need beta > 0")
-        x = np.sqrt(beta) * v * l / 2.0
-        sgn = np.sign(np.tan(x)) or 1.0
-        e_plus = sgn * m / np.sqrt(1.0 + beta / np.tan(x) ** 2)
-        e_minus = -sgn * m / np.sqrt(1.0 + beta * np.tan(x) ** 2)
-        return {"+": float(e_plus), "-": float(e_minus)}
-    if stype.tag == "D":
-        beta = stype.beta
-        if beta is None or beta >= 0:
-            raise TypeMismatch("D asymptotics need beta < 0")
-        x = np.sqrt(-beta) * abs(v) * l / 2.0
-        sgn = np.sign(v)
-        e_plus = sgn * m / np.sqrt(1.0 - beta / np.tanh(x) ** 2)
-        e_minus = sgn * m / np.sqrt(1.0 - beta * np.tanh(x) ** 2)
-        return {"+": float(e_plus), "-": float(e_minus)}
-    if stype.tag == "H1":
-        if n is None or n < 1:
-            raise TypeMismatch("H1 asymptotics are the n >= 1 ladder")
-        if not abs(v) < (n * np.pi / (abs(alpha) * l)) ** (2.0 / 3.0) * m ** (1.0 / 3.0):
-            raise TypeMismatch("V outside the H1 ladder validity window")
-        return {"n": float((alpha * l / (n * np.pi)) ** 2 * v**3)}
-    if stype.tag == "H2":
+    try:
+        if stype.tag in ("P", "D"):
+            return {p: one_point_energy(stype, "delta", v * l, parity=p, m=m) for p in "+-"}
         if n is None:
-            raise TypeMismatch("H2 asymptotics need a level index")
+            raise TypeMismatch(f"{stype.tag} asymptotics need a level index")
         if n == 0:
-            return {"n": float(np.sign(v) * m / np.sqrt(1.0 + (2.0 / (v * l)) ** 2))}
-        q = (n * np.pi / l) ** 2
-        return {"n": float(np.sign(v) * np.sqrt(q**2 / (4.0 * v**2) + m**2) - q / (2.0 * v))}
-    if stype.tag == "W1":
-        beta = stype.beta
-        if beta is None:
-            raise TypeMismatch("W1 asymptotics need beta")
-        if n is None:
-            raise TypeMismatch("W1 asymptotics need a level index")
-        if n == 0:
-            return {"n": float(-np.sign(beta * v) * m / np.sqrt(1.0 + (beta * v * l / 2.0) ** 2))}
-        return {"n": float(-((n * np.pi / l) ** 2) / (beta * v))}
-    if stype.tag == "W2":
-        if n is None:
-            raise TypeMismatch("W2 asymptotics need a level index")
-        if alpha <= 0:
-            raise TypeMismatch("W2 needs alpha = a1 > 0")
-        if n == 0:
-            if v < 0:
-                return {"n": float(-m / np.sqrt(1.0 + 4.0 / (v * l) ** 2))}
-            return {"n": float(m / np.sqrt(1.0 + 2.0 * alpha * m / v))}
-        if not v < -((n * np.pi / l) ** 2) / (2.0 * alpha * m):
-            raise TypeMismatch("V outside the W2 ladder validity window")
-        return {"n": float(-(m + (n * np.pi / l) ** 2 / (alpha * v)))}
-    raise TypeMismatch(f"no asymptotic form for spectrum type {stype.tag!r}")
+            family, g = "delta", v * l
+        elif stype.tag == "H1":
+            family, g = "two_thirds", v * (l * l / m) ** (1.0 / 3.0)
+        else:
+            family, g = "inv_square", v * l * l * m
+        e = one_point_energy(stype, family, g, n=n, m=m, alpha=alpha)
+    except (OutOfValidityWindow, UnsupportedCombination) as exc:
+        raise TypeMismatch(str(exc)) from exc
+    if e is None:  # the W2 ground level at V >= 0
+        e = m / np.sqrt(1.0 + 2.0 * alpha * m / v)
+    return {"n": float(e)}
 
 
 def cutoff_values(

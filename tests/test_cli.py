@@ -61,13 +61,6 @@ def test_boundstates_preset(tmp_path):
     assert vals["-"] == pytest.approx(-0.65, abs=0.01)
 
 
-def test_boundstates_workers_identical_bytes(tmp_path):
-    a, b = tmp_path / "w1.csv", tmp_path / "w4.csv"
-    main(["boundstates", "--preset", "fig3", "--workers", "1", "--out", str(a)])
-    main(["boundstates", "--preset", "fig3", "--workers", "4", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_sweep_preset_manifest(tmp_path):
     out = tmp_path / "sw.csv"
     code = main(

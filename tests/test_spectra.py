@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from triband import spectra
 from triband.boundstates import BoundStateSolution, find_bound_states
-from triband.model import Geometry, TypeMismatch
+from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
 from triband.spectra import (
     PencilSpec,
@@ -101,6 +103,33 @@ def test_asymptotic_laws_are_the_one_point_limits():
                         continue  # outside the ladder's validity window
                     pred = asymptotic_energy(stype, v, geom, n=n)["n"]
                     assert pred == pytest.approx(limit_energy(pencil, law, n=n), rel=1e-14)
+    # every other (V, l) -> g mapping: the delta law at g = V l for the ground
+    # levels (H2, W1, and W2 at V < 0), two_thirds at g = V (l^2/m)^(1/3) for
+    # the H1 ladder and inv_square at g = V l^2 m for the H2 and W2 ladders
+    for alphas, vertex, vs, ns in (
+        ((0, 1, 0), "P1", (50.0, -200.0, 3.0), (0, 1, 2, 3)),
+        ((1, 0, 1), "P1", (100.0, -150.0, 0.7), (0,)),
+        ((-1, 0, 3), "P1", (100.0, -150.0, 0.7), (0,)),
+        ((2, 1, 0), "P1", (-300.0, -40.0, -0.8), (0, 1, 2)),
+        ((1, 1, -1), "P2", (0.5, 1.5, -2.0, 3.0), (1, 2, 3)),
+        ((-2, 1, 2), "P2", (0.5, 1.5, -2.0, 3.0), (1, 2, 3)),
+    ):
+        pencil = PencilSpec(vertex, *alphas)
+        stype = classify(pencil)
+        for (l, m), v, n in itertools.product(((0.5, 1.0), (2.0, 1.0), (2.0, 2.5)), vs, ns):
+            if n == 0:
+                law = SqueezeLaw("delta", v * l)
+            elif stype.tag == "H1":
+                law = SqueezeLaw("two_thirds", v * (l * l / m) ** (1.0 / 3.0))
+            else:
+                law = SqueezeLaw("inv_square", v * l * l * m)
+            try:
+                lim = limit_energy(pencil, law, n=n, m=m)
+            except OutOfValidityWindow:
+                continue  # outside the ladder's validity window
+            geom = Geometry.centered(l)
+            pred = asymptotic_energy(stype, v, geom, n=n, m=m, alpha=pencil.alpha1)["n"]
+            assert pred == pytest.approx(lim, rel=1e-14)
 
 
 def test_asymptotic_type_guards():
@@ -114,6 +143,9 @@ def test_asymptotic_type_guards():
     # W species need an index
     with pytest.raises(TypeMismatch):
         asymptotic_energy(classify(PencilSpec("P1", 1, 0, 1)), 5.0, geom)
+    # W1 ladder outside |beta V l^2| > (n pi)^2, where the law gives |E| >= m
+    with pytest.raises(TypeMismatch):
+        asymptotic_energy(classify(PencilSpec("P1", 1, 0, 1)), 5.0, geom, n=1)
 
 
 def test_h1_cutoff_polynomial_roots():
