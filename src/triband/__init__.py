@@ -26,15 +26,12 @@ from .boundstates import (
 )
 from .model import (
     DomainError,
-    EnergyPoint,
     Geometry,
     PotentialConfig,
-    eta,
-    gamma,
     k_squared,
     kappa,
 )
-from .oracle import oracle_bound_states, shoot
+from .oracle import oracle_bound_states
 from .pointlimits import (
     PointInteraction,
     SqueezeLaw,

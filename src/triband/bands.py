@@ -232,18 +232,3 @@ def band_eigenfunction(cfg: PotentialConfig, k: float, branch: str) -> SigmaCoef
     s1 = k / (SQRT2 * d1)
     s3 = k / (SQRT2 * d3)
     return SigmaCoefficients(float(s1), float(s3), branch, float(e))
-
-
-def eigenvector_system_residual(cfg: PotentialConfig, k: float, sig: SigmaCoefficients) -> float:
-    """Max residual of the three-component system for col(-sigma1, 1, sigma3) e^{ikx}.
-
-    Plane-wave substitution turns the system into three linear relations; the
-    derivative brings down ik per component.  Used by tests to certify that
-    returned coefficients are genuine eigenvectors.
-    """
-    a1, a2, a3 = -1j * sig.sigma1, 1.0 + 0j, 1j * sig.sigma3
-    e = sig.energy
-    r1 = -1j * k * a2 / SQRT2 - (e - cfg.v1) * a1
-    r2 = 1j * k * (a1 - a3) / SQRT2 - (e - cfg.v2) * a2
-    r3 = 1j * k * a2 / SQRT2 - (e - cfg.v3) * a3
-    return float(max(abs(r1), abs(r2), abs(r3)))

@@ -62,8 +62,6 @@ class ConnectionMatrix:
     l12: float
     l21: float
     l22: float
-    k2: float | None = None
-    l: float | None = None
 
     @property
     def det(self) -> float:
@@ -109,8 +107,6 @@ def connection_matrix(cfg: PotentialConfig, geom: Geometry, e: float) -> Connect
         l12=float(SQRT2 * (e - cfg.v2) * s),
         l21=float(-w * s / SQRT2),
         l22=float(c),
-        k2=float(k2),
-        l=geom.l,
     )
 
 

@@ -1,15 +1,17 @@
 """Shared parameters and scalar kernels for the 1D pseudospin-one Hamiltonian.
 
 The Hamiltonian is H = -i S_y d/dx + m S_z + diag(V11, V22, V33) acting on a
-three-component wave function.  Everything downstream (band structure, bound
-states, strength sweeps, point-interaction limits) is expressed through the
-renormalized strengths
+three-component wave function, with S_y, S_z the spin-one matrices.  The
+matrices never enter the numerics: everything downstream (band structure,
+bound states, strength sweeps, point-interaction limits) is expressed through
+the renormalized strengths
 
     v1 = V11 + m,   v2 = V22,   v3 = V33 - m,   va = (v1 + v3) / 2
 
-and the scalar kernels defined here: the squared wave number k^2(E), the
-exterior decay rate kappa, the amplitude ratio rho, and the trigonometric
-kernels s(w, t) = sin(sqrt(w) t)/sqrt(w), c(w, t) = cos(sqrt(w) t) which are
+and the scalar kernels defined here: the dispersion k^2(E) with
+W(E) = k^2/(E - v2), one expression each per flat-band plane (`dispersion`),
+the exterior decay rate kappa, and the trigonometric kernels
+s(w, t) = sin(sqrt(w) t)/sqrt(w), c(w, t) = cos(sqrt(w) t) which are
 analytically continued to w < 0 (imaginary wave number) via sinh/cosh.  Using
 (s, c) of the real variable w = k^2 keeps every residual real-analytic in E,
 so no branch bookkeeping for imaginary k is needed anywhere.
@@ -20,7 +22,7 @@ All functions are pure and stateless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,6 @@ PLANE_RTOL = 1e-9
 # reductions; strengths further off the plane than this keep the generic
 # formulas, whose answers differ from the reduced ones by the plane offset.
 REDUCE_RTOL = 1e-12
-# Relative half-width of the zero-energy guard used by gamma().
-ZERO_E_RTOL = 1e-12
 
 SQRT2 = np.sqrt(2.0)
 
@@ -73,10 +73,6 @@ class OutOfDomainSolution(DomainError):
 
 class MuPole(DomainError):
     """2E = v1 + v3 hit in the discontinuity factor mu."""
-
-
-class SPole(DomainError):
-    """2E = v1 + v3 hit inside the reduced ODE integration."""
 
 
 class TypeMismatch(DomainError):
@@ -169,64 +165,9 @@ class Geometry:
         return cls(-0.5 * l, 0.5 * l)
 
 
-@dataclass(frozen=True)
-class EnergyPoint:
-    """An in-gap energy with its exterior decay data.
-
-    kappa = sqrt(m^2 - E^2) and rho = sqrt((m - E)/(m + E)); defined only for
-    |E| < m.  The identities 1/rho - rho = 2E/kappa and 1/rho + rho = 2m/kappa
-    hold exactly.
-    """
-
-    e: float
-    m: float = 1.0
-
-    def __post_init__(self):
-        if not abs(self.e) < self.m:
-            raise GapEdge(f"E = {self.e} outside the open gap (-{self.m}, {self.m})")
-
-    @property
-    def kappa(self) -> float:
-        return float(np.sqrt((self.m - self.e) * (self.m + self.e)))
-
-    @property
-    def rho(self) -> float:
-        return float(np.sqrt((self.m - self.e) / (self.m + self.e)))
-
-    @property
-    def rho_inv(self) -> float:
-        return float(np.sqrt((self.m + self.e) / (self.m - self.e)))
-
-
 def kappa(e, m=1.0):
     """Exterior decay rate sqrt(m^2 - E^2); elementwise."""
     return np.sqrt((m - e) * (m + e))
-
-
-# --- constant matrices -------------------------------------------------------
-
-S_Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / SQRT2
-S_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
-# C flips components 1 <-> 3 and anti-commutes with the free Hamiltonian,
-# which is what makes the free spectrum particle-hole symmetric.
-C_MATRIX = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-# Reflection about the midpoint acts with P = diag(-1, 1, -1) on components.
-P_MATRIX = np.diag([-1.0, 1.0, -1.0]).astype(complex)
-
-
-@dataclass(frozen=True)
-class SpinMatrices:
-    """Bundle of the constant 3x3 matrices used by the model."""
-
-    sy: np.ndarray = field(default_factory=lambda: S_Y.copy())
-    sz: np.ndarray = field(default_factory=lambda: S_Z.copy())
-    c: np.ndarray = field(default_factory=lambda: C_MATRIX.copy())
-    p: np.ndarray = field(default_factory=lambda: P_MATRIX.copy())
-
-
-def h0(k: float, m: float = 1.0) -> np.ndarray:
-    """Momentum-space free Hamiltonian k S_y + m S_z for a plane wave e^{ikx}."""
-    return k * S_Y + m * S_Z
 
 
 # --- trigonometric kernels ---------------------------------------------------
@@ -333,36 +274,3 @@ def k_squared(cfg: PotentialConfig, e):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def dispersion_sides(cfg: PotentialConfig, e, k2):
-    """Residual F(E) - G(E) k^2 of the cubic dispersion relation."""
-    e = np.asarray(e, dtype=float)
-    f = (e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3)
-    g = e - cfg.va
-    return f - g * np.asarray(k2, dtype=float)
-
-
-def gamma(cfg: PotentialConfig, e: float, k: float) -> float:
-    """Matching ratio (kappa/k)(1 - v2/E) between interior and exterior."""
-    if abs(e) < ZERO_E_RTOL * cfg.m:
-        raise ZeroEnergyPole("gamma has a 1/E pole at E = 0")
-    if k == 0:
-        raise ZeroK("gamma has a 1/k pole at k = 0")
-    return kappa(e, cfg.m) / k * (1.0 - cfg.v2 / e)
-
-
-def eta(cfg: PotentialConfig, e: float, k):
-    """Interior amplitude ratio sqrt(2)(E - v2)/k.
-
-    Accepts a real or complex (imaginary) wave number and returns the
-    analytically continued value; downstream code only ever uses eta through
-    the products eta*sin(kl) and sin(kl)/eta, which the (s, c) kernels
-    evaluate without any branch choice.
-    """
-    if k == 0:
-        raise ZeroK("eta has a 1/k pole at k = 0")
-    val = SQRT2 * (e - cfg.v2) / k
-    if isinstance(k, complex):
-        return val
-    return float(val)

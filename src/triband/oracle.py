@@ -8,10 +8,12 @@ Eliminating psi1 and psi3 through the algebraic constraint
 
 for u = psi1 - psi3 and v = psi2.  The three-component system itself is not
 canonical (the derivative matrix is singular), which is why the reduction, not
-the raw system, is integrated.  A bound state decays on both sides, so the
-state launched along the left decaying ray (u, v) ~ (2E/kappa, sqrt(2)) at x1
-must arrive at x2 parallel to the right ray (2E/kappa, -sqrt(2)); the signed
-cross product of the arrival state with that ray is the shooting mismatch.
+the raw system, is integrated.  The rectangle is reflection symmetric about
+its midpoint a, so a bound state is even or odd about it.  The state launched
+along the left decaying ray (u, v) ~ (2E/kappa, sqrt(2)) at x1 and carried to
+a therefore arrives with u(a) = 0 (psi2 even, the E+ family) or v(a) = 0
+(psi2 odd, the E- family).  These two normalized midpoint values are the
+parity mismatches; the oracle scans each for sign changes on its own.
 
 Integration is fixed-step RK4, deliberately ignorant of the closed-form
 trigonometry used by the main solver.  The interior coefficients are constant,
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import rootfind
 from .boundstates import VA_WINDOW, scan_segments
-from .model import REDUCE_RTOL, Geometry, PotentialConfig, SPole, kappa
+from .model import REDUCE_RTOL, Geometry, PotentialConfig, kappa
 
 ORACLE_XTOL = 1e-10  # bisection tolerance relative to m
 
@@ -76,40 +78,19 @@ def _left_ray(cfg: PotentialConfig, e: np.ndarray):
     return u / norm, v / norm
 
 
-def _mismatch_batch(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_steps: int):
-    """Full-interval shooting mismatch on an array of energies."""
-    e = np.asarray(e, dtype=float)
-    u, v = _left_ray(cfg, e)
-    u, v = _rk4(cfg, e, u, v, geom.l, n_steps)
-    kap = kappa(e, cfg.m)
-    ru, rv = 2.0 * e / kap, -np.sqrt(2.0)
-    return (u * rv - v * ru) / np.hypot(u, v) / np.hypot(ru, rv)
+def _parity_mismatches(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_steps: int):
+    """Normalized midpoint parity mismatches (u(a), v(a)) from the left
+    decaying ray.
 
-
-def _parity_mismatch_batch(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_steps: int):
-    """Midpoint parity mismatches (u(a), v(a)) from the left decaying ray.
-
-    The rectangle is reflection symmetric about its midpoint a, so every
-    bound state has u = psi1 - psi3 odd and psi2 even (u(a) = 0) or the other
-    way around (v(a) = 0).  Tracking the two families separately keeps their
-    zeros simple even when an even/odd doublet is exponentially split, which
-    the product mismatch cannot resolve on any fixed grid.
+    Tracking the two families separately keeps their zeros simple even when
+    an even/odd doublet is exponentially split, which a single full-interval
+    mismatch cannot resolve on any fixed grid.
     """
     e = np.asarray(e, dtype=float)
     u, v = _left_ray(cfg, e)
     u, v = _rk4(cfg, e, u, v, 0.5 * geom.l, max(1, n_steps // 2))
     norm = np.hypot(u, v)
     return u / norm, v / norm
-
-
-def shoot(cfg: PotentialConfig, geom: Geometry, e: float, n_steps: int = 2000) -> float:
-    """Shooting mismatch at one energy; zero marks a bound state."""
-    m = cfg.m
-    if not 0 < abs(e) < m:
-        raise ValueError(f"E = {e} not inside the open gap minus 0")
-    if abs(2.0 * e - cfg.v1 - cfg.v3) < 1e-12 * cfg.scale():
-        raise SPole("constraint split singular: 2E = v1 + v3")
-    return float(_mismatch_batch(cfg, geom, np.asarray([e]), n_steps)[0])
 
 
 def oracle_bound_states(
@@ -119,12 +100,13 @@ def oracle_bound_states(
     n_steps: int = 2000,
     extra_exclusions=(),
 ) -> list[float]:
-    """Grid-scan shooting mismatches over the gap and bisect every sign change.
+    """Grid-scan the midpoint parity mismatches u(a) and v(a) over the gap
+    and bisect every sign change of each.
 
-    The scan runs on the two midpoint parity mismatches rather than the
-    full-interval product, so exponentially split even/odd doublets are still
-    two simple zeros.  Exclusion windows around E = 0 and the constraint pole
-    at E = va mirror the main solver's so both enumerate the same domain.
+    Each parity is scanned on its own, so an exponentially split even/odd
+    doublet is one simple zero in each family.  Exclusion windows around
+    E = 0 and the constraint pole at E = va mirror the main solver's so both
+    enumerate the same domain.
     """
     m = cfg.m
     grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), n_grid)
@@ -132,7 +114,7 @@ def oracle_bound_states(
         return []
 
     def both(x):  # the u(a) and v(a) mismatches
-        return _parity_mismatch_batch(cfg, geom, np.asarray(x, dtype=float), n_steps)
+        return _parity_mismatches(cfg, geom, np.asarray(x, dtype=float), n_steps)
 
     xs = np.concatenate(grids)
     lengths = [g.size for g in grids]

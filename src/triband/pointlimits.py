@@ -151,23 +151,6 @@ def limit_matrix(
     return PointInteraction(lam, float(e_n), n, x)
 
 
-def boundary_connection_residual(pi: PointInteraction, parity: str, m: float = 1.0) -> float:
-    """Residual of Lambda_n applied to the squeezed boundary columns.
-
-    The left boundary column is (2E/kappa, sqrt(2)); Lambda_n must map it to
-    (-2E/kappa, sqrt(2)) for a '+' state and to (2E/kappa, -sqrt(2)) for a
-    '-' state.
-    """
-    e = pi.e_n
-    kap = np.sqrt((m - e) * (m + e))
-    left = np.array([2.0 * e / kap, SQRT2])
-    target = np.array([-2.0 * e / kap, SQRT2]) if parity == "+" else np.array(
-        [2.0 * e / kap, -SQRT2]
-    )
-    got = pi.lambda_n.as_array() @ left
-    return float(np.max(np.abs(got - target)))
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     l: float

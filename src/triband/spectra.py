@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundstates import BoundStateSolution, find_bound_states
+from . import rootfind
+from .boundstates import find_bound_states
 from .model import (
     Geometry,
     OutOfValidityWindow,
@@ -86,14 +87,6 @@ class Branch:
     v_values: list = field(default_factory=list)
     states: list = field(default_factory=list)
 
-    @property
-    def v_start(self):
-        return self.v_values[0]
-
-    @property
-    def v_end(self):
-        return self.v_values[-1]
-
     def energies(self):
         return np.array([s.energy for s in self.states])
 
@@ -107,13 +100,6 @@ class BranchedSpectrum:
     levels: list  # per V point, list[BoundStateSolution]
     branches: list  # list[Branch]
     events: list  # (V, "appear"|"disappear", parity)
-
-    def counts(self) -> np.ndarray:
-        return np.array([len(lv) for lv in self.levels])
-
-    def states_at(self, v: float) -> list[BoundStateSolution]:
-        i = int(np.argmin(np.abs(self.v_grid - v)))
-        return self.levels[i]
 
 
 def classify(pencil: PencilSpec) -> SpectrumType:
@@ -360,6 +346,8 @@ def asymptotic_energy(
     except (OutOfValidityWindow, UnsupportedCombination) as exc:
         raise TypeMismatch(str(exc)) from exc
     if e is None:  # the W2 ground level at V >= 0
+        if v == 0:
+            raise TypeMismatch("the W2 ground level m/sqrt(1 + 2 alpha m/V) needs V > 0")
         e = m / np.sqrt(1.0 + 2.0 * alpha * m / v)
     return {"n": float(e)}
 
@@ -369,41 +357,30 @@ def cutoff_values(
 ) -> list[float]:
     """Strengths V where the n-th level meets a threshold E = +-m.
 
-    H1: roots of (V -+ m)^2 (V +- m) = (n pi / l)^2 m on |V| >= m, found by
-    bracketed bisection (one per side).  W1/W2: the stated detachment
-    thresholds of the level ladders.  The W1 value (n pi/l)^2/(|beta| m) is
-    the one-point threshold; the exact detachment is where
+    H1: roots of (V -+ m)^2 (V +- m) = (n pi / l)^2 m on |V| >= m, one
+    bracket per side refined by rootfind.refine_brackets.  W1/W2: the stated
+    detachment thresholds of the level ladders.  The W1 value
+    (n pi/l)^2/(|beta| m) is the one-point threshold; the exact detachment is where
     k^2(E = -m) = (n pi/l)^2, e.g. V ~ 13.28 against 14.21 for n = 3, l = 2.5
     on the pencil (1, 0, 1).
     """
     l = geom.l
     q = (n * np.pi / l) ** 2
     if stype.tag == "H1":
-        out = []
-        # level hits E = +m when V >= m: (V - m)^2 (V + m) = q m
-        def upper(v):
-            return (v - m) ** 2 * (v + m) - q * m
-
-        # level hits E = -m when V <= -m: (V + m)^2 (m - V) = q m
-        def lower(v):
-            return (v + m) ** 2 * (m - v) - q * m
-
-        for fun, lo, hi in ((lower, -m - 10 * (q + m), -m), (upper, m, m + 10 * (q + m))):
-            a, b = lo, hi
-            fa, fb = fun(a), fun(b)
-            if fa * fb > 0:
-                continue
-            for _ in range(200):
-                c = 0.5 * (a + b)
-                fc = fun(c)
-                if fa * fc <= 0:
-                    b, fb = c, fc
-                else:
-                    a, fa = c, fc
-                if b - a < 1e-13 * max(m, abs(c)):
-                    break
-            out.append(0.5 * (a + b))
-        return sorted(out)
+        # the level hits E = -m when V <= -m: (V + m)^2 (m - V) = q m,
+        # and E = +m when V >= m: (V - m)^2 (V + m) = q m
+        cubics = (
+            (lambda v: (v + m) ** 2 * (m - v) - q * m, -m - 10 * (q + m), -m),
+            (lambda v: (v - m) ** 2 * (v + m) - q * m, m, m + 10 * (q + m)),
+        )
+        sides = [(f, lo, hi) for f, lo, hi in cubics if f(lo) * f(hi) <= 0]
+        refined = rootfind.refine_brackets(
+            lambda v: [f(v) for f, _, _ in sides],
+            [(lo, hi) for _, lo, hi in sides],
+            xtol=1e-13 * m,
+            families=[1] * len(sides),
+        )
+        return sorted(float(roots[0]) for roots, _ in refined)
     if stype.tag == "W1":
         if stype.beta is None or stype.beta == 0:
             raise TypeMismatch("W1 cutoffs need beta != 0")

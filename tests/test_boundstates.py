@@ -199,6 +199,24 @@ def test_mass_scaling_invariance():
         assert b.parity == a.parity
 
 
+def test_particle_hole_mirror_negates_spectrum():
+    # C, which swaps components 1 and 3, anticommutes with the free Hamiltonian
+    # and keeps psi2, so (V11, V22, V33) -> (-V33, -V22, -V11) maps every level
+    # E to -E with the same parity
+    levels = 0
+    for cfg, geom in random_configs(42, 60):
+        mirror = PotentialConfig(-cfg.v33, -cfg.v22, -cfg.v11, cfg.m)
+        sols, mirrored = find_bound_states(cfg, geom), find_bound_states(mirror, geom)
+        for p in "+-":
+            e = np.sort([s.energy for s in sols if s.parity == p])
+            e_mirror = np.sort([-s.energy for s in mirrored if s.parity == p])
+            assert e.size == e_mirror.size, (cfg, geom, p)
+            if e.size:
+                assert np.max(np.abs(e - e_mirror)) <= 1e-9, (cfg, geom, p)
+            levels += e.size
+    assert levels > 0
+
+
 # --- bit identity with the per-parity scaffold --------------------------------
 # The solver used to bracket and refine each parity on its own: one residual
 # call per segment grid, per sign-change cell and per edge ladder, then one

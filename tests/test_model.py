@@ -2,25 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triband.boundstates import ConnectionMatrix, find_bound_states, general_bound_condition
 from triband.model import (
-    C_MATRIX,
-    EnergyPoint,
+    GapEdge,
     Geometry,
-    P_MATRIX,
     PoleAtVa,
     PotentialConfig,
-    S_Y,
-    S_Z,
-    ZeroEnergyPole,
-    ZeroK,
-    dispersion_sides,
-    eta,
-    gamma,
-    h0,
     k_squared,
     kappa,
     sc_kernels,
 )
+from triband.verify import random_configs
 
 
 def test_renormalization_identities():
@@ -68,55 +60,40 @@ def test_k_squared_solves_dispersion_identity(v11, v22, v33, e):
     if abs(e - cfg.va) < 1e-3 or abs(cfg.v2 - cfg.va) < 1e-6:
         return
     k2 = k_squared(cfg, e)
-    res = dispersion_sides(cfg, e, k2)
-    scale = 1.0 + abs((e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3))
-    assert abs(res) < 1e-12 * scale
+    # the cubic dispersion relation (E - v1)(E - v2)(E - v3) = (E - va) k^2
+    f = (e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3)
+    assert abs(f - (e - cfg.va) * k2) < 1e-12 * (1.0 + abs(f))
 
 
-@given(e=st.floats(-0.999, 0.999))
-@settings(max_examples=500, deadline=None)
-def test_energy_point_identities(e):
-    pt = EnergyPoint(e, 1.0)
-    assert pt.rho * pt.rho_inv == pytest.approx(1.0, rel=1e-13)
-    assert pt.rho_inv - pt.rho == pytest.approx(2 * e / pt.kappa, rel=1e-13, abs=1e-13)
-    assert pt.rho_inv + pt.rho == pytest.approx(2 * 1.0 / pt.kappa, rel=1e-13)
+def test_level_fields_satisfy_rho_kappa_identities():
+    checked = 0
+    for m in (1.0, 2.5):
+        for cfg, geom in random_configs(42, 20, m=m):
+            for sol in find_bound_states(cfg, geom):
+                e = sol.energy
+                assert sol.kappa == kappa(e, m)
+                assert sol.rho * sol.rho == pytest.approx((m - e) / (m + e), rel=1e-13)
+                rho_inv = 1.0 / sol.rho
+                assert rho_inv - sol.rho == pytest.approx(2 * e / sol.kappa, rel=1e-13, abs=1e-13)
+                assert rho_inv + sol.rho == pytest.approx(2 * m / sol.kappa, rel=1e-13)
+                checked += 1
+    assert checked > 100
 
 
 def test_energy_point_identity_bulk():
     rng = np.random.default_rng(17)
     e = rng.uniform(-0.999, 0.999, size=10_000)
-    kap = np.sqrt(1.0 - e * e)
+    kap = kappa(e)
     rho = np.sqrt((1.0 - e) / (1.0 + e))
     assert np.max(np.abs((1.0 / rho - rho) - 2.0 * e / kap) * kap) < 1e-13 * 2.0
     assert np.max(np.abs((1.0 / rho + rho) * kap - 2.0)) < 1e-13 * 2.0
 
 
 def test_energy_point_outside_gap_rejected():
-    from triband.model import GapEdge
-
-    with pytest.raises(GapEdge):
-        EnergyPoint(1.0, 1.0)
-
-
-def test_chiral_matrix_anticommutes_with_h0():
-    rng = np.random.default_rng(7)
-    for k in rng.uniform(-10, 10, size=100):
-        h = h0(k, m=1.0)
-        assert np.max(np.abs(C_MATRIX @ h + h @ C_MATRIX)) == 0.0
-
-
-def test_parity_matrix_relations():
-    assert np.max(np.abs(P_MATRIX @ S_Y + S_Y @ P_MATRIX)) == 0.0
-    assert np.max(np.abs(P_MATRIX @ S_Z - S_Z @ P_MATRIX)) == 0.0
-
-
-def test_spin_matrix_bundle():
-    from triband.model import SpinMatrices
-
-    sm = SpinMatrices()
-    assert np.array_equal(sm.sy, S_Y) and np.array_equal(sm.p, P_MATRIX)
-    sm.sy[0, 0] = 9.0  # copies: mutating the bundle must not touch the module constants
-    assert S_Y[0, 0] == 0.0
+    lam = ConnectionMatrix(1.0, 0.0, 0.0, 1.0)
+    for e in (1.0, -1.0, 1.5):
+        with pytest.raises(GapEdge):
+            general_bound_condition(lam, e)
 
 
 @given(w=st.floats(-400, 400), t=st.floats(-3, 3))
@@ -135,41 +112,3 @@ def test_sc_kernels_match_trig_and_hyperbolic():
     s, c = sc_kernels(-9.0, 0.4)
     assert s == pytest.approx(np.sinh(3 * 0.4) / 3.0, rel=1e-14)
     assert c == pytest.approx(np.cosh(3 * 0.4), rel=1e-14)
-
-
-def test_gamma_examples():
-    cfg0 = PotentialConfig(0, 0, 0, 1.0)  # v2 = 0 -> gamma = kappa/k
-    assert gamma(cfg0, 0.5, 2.0) == pytest.approx(kappa(0.5) / 2.0, rel=1e-14)
-    cfg = PotentialConfig(1.0, 0.5, 0.0, 1.0)  # v2 = E -> gamma = 0
-    assert gamma(cfg, 0.5, 1.7) == 0.0
-    with pytest.raises(ZeroEnergyPole):
-        gamma(cfg, 0.0, 1.0)
-    with pytest.raises(ZeroK):
-        gamma(cfg, 0.5, 0.0)
-
-
-def test_gamma_pure_middle_component_reduction():
-    # v11 = v33 = 0, v22 = V: gamma = -sqrt(V/E - 1) on the real-k strip
-    v, e = 5.0, 0.5
-    cfg = PotentialConfig(0.0, v, 0.0, 1.0)
-    k = np.sqrt(k_squared(cfg, e))
-    assert gamma(cfg, e, k) == pytest.approx(-np.sqrt(v / e - 1.0), rel=1e-12)
-
-
-def test_eta_examples():
-    cfg = PotentialConfig(0.0, 0.5, 0.0, 1.0)
-    assert eta(cfg, 0.5, 1.3) == 0.0  # E = v2
-    cfg2 = PotentialConfig(1.0, -0.3, 0.5, 1.0)
-    val = eta(cfg2, 0.4, 0.9)
-    assert val * (1.0 / val) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ZeroK):
-        eta(cfg2, 0.4, 0.0)
-
-
-def test_eta_large_strength_pencil_limit():
-    # along v_jj = V with V -> inf (beta = 1): eta -> -sgn(V) sqrt(2)
-    for v in (1e4, -1e4):
-        cfg = PotentialConfig(v, v, v, 1.0)
-        e = 0.3
-        k = np.sqrt(k_squared(cfg, e))
-        assert eta(cfg, e, k) == pytest.approx(-np.sign(v) * np.sqrt(2.0), rel=1e-3)

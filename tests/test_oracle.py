@@ -3,29 +3,30 @@ import pytest
 
 from triband import oracle
 from triband.boundstates import find_bound_states
-from triband.model import Geometry, PotentialConfig, SPole, k_squared
-from triband.oracle import oracle_bound_states, resolvable_va_window, shoot
+from triband.model import Geometry, PotentialConfig, k_squared, kappa
+from triband.oracle import oracle_bound_states, resolvable_va_window
 from triband.verify import comparison_domain, crosscheck_config
 
 FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
 FIG3_GEOM = Geometry.centered(0.5)
 
 
+def _fig3_mismatches(e):
+    return oracle._parity_mismatches(FIG3_CFG, FIG3_GEOM, np.asarray(e, dtype=float), 2000)
+
+
 def test_mismatch_small_at_reference_levels():
-    for e_ref in (0.5627951670674509, -0.6530593009188692):
-        assert abs(shoot(FIG3_CFG, FIG3_GEOM, e_ref)) < 1e-9
-    # sign change brackets the level
-    assert shoot(FIG3_CFG, FIG3_GEOM, 0.54) * shoot(FIG3_CFG, FIG3_GEOM, 0.58) < 0
+    at_levels = np.abs(_fig3_mismatches([0.5627951670674509, -0.6530593009188692]))
+    # one parity vanishes at each level
+    assert np.all(at_levels.min(axis=0) < 1e-9)
+    # and the one that vanishes at 0.5628 changes sign across it
+    ends = _fig3_mismatches([0.54, 0.58])[int(np.argmin(at_levels[:, 0]))]
+    assert ends[0] * ends[1] < 0
 
 
 def test_mismatch_away_from_levels():
-    assert abs(shoot(FIG3_CFG, FIG3_GEOM, 0.2)) > 1e-2
-
-
-def test_spole_guard():
-    cfg = PotentialConfig(0.0, 1.0, 0.0, 1.0)  # va = 0
-    with pytest.raises(SPole):
-        shoot(cfg, Geometry.centered(1.0), cfg.va + 1e-15)
+    u, v = _fig3_mismatches([0.2])
+    assert min(abs(u[0]), abs(v[0])) > 1e-2
 
 
 def test_oracle_free_potential_empty():
@@ -96,12 +97,12 @@ def _stepwise_rk4(cfg, e, u, v, span, n_steps):
 
 
 def _mismatches(cfg, geom, e, n_steps):
-    return np.stack(
-        [
-            oracle._mismatch_batch(cfg, geom, e, n_steps),
-            *oracle._parity_mismatch_batch(cfg, geom, e, n_steps),
-        ]
-    )
+    """Full-span cross product with the right decaying ray, then the two
+    midpoint parity mismatches."""
+    u, v = oracle._rk4(cfg, e, *oracle._left_ray(cfg, e), geom.l, n_steps)
+    ru, rv = 2.0 * e / kappa(e, cfg.m), -np.sqrt(2.0)
+    full = (u * rv - v * ru) / np.hypot(u, v) / np.hypot(ru, rv)
+    return np.stack([full, *oracle._parity_mismatches(cfg, geom, e, n_steps)])
 
 
 def _assert_matches_stepwise(monkeypatch, cfg, geom, e, n_steps):

@@ -3,13 +3,13 @@ import pytest
 
 from triband.boundstates import general_bound_condition
 from triband.model import (
+    SQRT2,
     Geometry,
     OutOfValidityWindow,
     UnsupportedCombination,
 )
 from triband.pointlimits import (
     SqueezeLaw,
-    boundary_connection_residual,
     convergence_study,
     level_parity,
     limit_energy,
@@ -24,6 +24,23 @@ W1 = PencilSpec("P1", 1.0, 0.0, 1.0)
 W2 = PencilSpec("P1", 2.0, 1.0, 0.0)
 P_PENCIL = PencilSpec("P1", 1.0, 1.0, 1.0)
 D_PENCIL = PencilSpec("P2", -1.0, 1.0, -1.0)
+
+
+def boundary_connection_residual(pi, parity, m=1.0):
+    """Residual of Lambda_n applied to the squeezed boundary columns.
+
+    The left boundary column is (2E/kappa, sqrt(2)); Lambda_n must map it to
+    (-2E/kappa, sqrt(2)) for a '+' state and to (2E/kappa, -sqrt(2)) for a
+    '-' state.
+    """
+    e = pi.e_n
+    kap = np.sqrt((m - e) * (m + e))
+    left = np.array([2.0 * e / kap, SQRT2])
+    target = np.array([-2.0 * e / kap, SQRT2]) if parity == "+" else np.array(
+        [2.0 * e / kap, -SQRT2]
+    )
+    got = pi.lambda_n.as_array() @ left
+    return float(np.max(np.abs(got - target)))
 
 
 def test_squeeze_law_scalings():

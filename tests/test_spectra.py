@@ -9,6 +9,7 @@ from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
 from triband.spectra import (
     PencilSpec,
+    SpectrumType,
     asymptotic_energy,
     classify,
     cutoff_values,
@@ -146,6 +147,9 @@ def test_asymptotic_type_guards():
     # W1 ladder outside |beta V l^2| > (n pi)^2, where the law gives |E| >= m
     with pytest.raises(TypeMismatch):
         asymptotic_energy(classify(PencilSpec("P1", 1, 0, 1)), 5.0, geom, n=1)
+    # W2 ground level at V = 0, where m/sqrt(1 + 2 alpha m/V) has no value
+    with pytest.raises(TypeMismatch):
+        asymptotic_energy(SpectrumType("W2"), 0.0, geom, n=0)
 
 
 def test_h1_cutoff_polynomial_roots():
