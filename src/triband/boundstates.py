@@ -30,7 +30,9 @@ import numpy as np
 from . import rootfind
 from .model import (
     SQRT2,
+    K2_OF_PLANE,
     POLE_RTOL,
+    W_OF_PLANE,
     GapEdge,
     Geometry,
     MuPole,
@@ -41,6 +43,7 @@ from .model import (
     dispersion,
     k_squared,
     kappa,
+    plane_of,
     sc_kernels,
     sc_ratio,
 )
@@ -145,47 +148,100 @@ def split_residuals(cfg: PotentialConfig, geom: Geometry, e: float):
     return float(fac * s2 + c2), float(fac * c2 - k2 * s2)
 
 
+# The scan residuals take one of six forms, by plane and by whether v2 = 0.
+_CASES = [(plane, v2_zero) for plane in ("generic", "A", "AB") for v2_zero in (False, True)]
+
+
+def _residuals(e, m, half, v1, v2, v3, va, plane, v2_zero):
+    """(plus, minus) scan residuals of one case; strengths scalar or per E."""
+    k2 = K2_OF_PLANE[plane](e, v1, v2, v3, va)
+    kap = np.sqrt((m - e) * (m + e))
+    # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
+    # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is evaluated
+    # on its own points only: cosh overflows where the ratio is used, and an
+    # overflow in a discarded branch would still warn.
+    neg = k2 < 0
+    s = np.empty_like(e)
+    c = np.ones_like(e)
+    s[neg] = sc_ratio(k2[neg], half)
+    s[~neg], c[~neg] = sc_kernels(k2[~neg], half)
+    # plus family: E * r_plus, or r_plus itself when v2 == 0
+    fac = kap if v2_zero else kap * (e - v2)
+    lead = 1.0 if v2_zero else e
+    rp = fac * s + lead * c
+    # minus family: E * r_minus on plane A, where k^2 keeps no zero at v2;
+    # elsewhere E * r_minus/(E - v2) = kap c - E W s, or r_minus itself off
+    # the planes when v2 == 0
+    if plane == "A":
+        rm = kap * (e - v2) * c - e * k2 * s
+    elif plane == "generic" and v2_zero:
+        rm = kap * c - k2 * s
+    else:
+        rm = kap * c - e * W_OF_PLANE[plane](e, v1, v2, v3, va) * s
+    return rp, rm
+
+
 class _ScanResiduals:
-    """Pole-free, overflow-safe scan residuals for one configuration.
+    """Pole-free, overflow-safe scan residuals of configurations sharing m and l.
 
     both(E) returns (plus, minus): plus has the zeros of the E+ family, minus
     those of the E- family.  Both are smooth on the gap minus the va pole
-    (off-plane) and bounded in the imaginary-k region.
+    (off-plane) and bounded in the imaginary-k region.  at(i) holds the
+    strengths of configuration i; at(idx) with an index array holds one
+    configuration per abscissa, so one call scores E values of many
+    configurations, each with the floats its own call returns.  When every
+    abscissa has the same form (plane and v2 = 0) the call is unmasked,
+    otherwise each form is evaluated on its own elements.
     """
 
-    def __init__(self, cfg: PotentialConfig, geom: Geometry):
-        self.v2, self.m = cfg.v2, cfg.m
-        self.half = 0.5 * geom.l
-        self.v2_zero = abs(self.v2) <= 1e-14 * cfg.scale()
-        self.plane, self.k2, self.w = dispersion(cfg)
+    def __init__(self, m: float, half: float, v, case):
+        self.m, self.half = m, half
+        self.v = v  # rows v1, v2, v3, va; one column per configuration
+        self.case = case  # index into _CASES per configuration
+        # the forms present; np.unique would cost ~1.7 MiB of RSS on first use
+        self.cases = np.flatnonzero(np.bincount(np.ravel(case), minlength=len(_CASES)))
+        # arguments of the unmasked call, built once: one form, or none for
+        # an empty index
+        self.single = None
+        if self.cases.size < 2:
+            self.single = (m, half, *v, *_CASES[self.cases[0] if self.cases.size else 0])
+
+    @classmethod
+    def of(cls, cfgs, geom: Geometry):
+        if len({cfg.m for cfg in cfgs}) != 1:
+            raise ValueError("configurations of one block must share the mass m")
+        v = np.array([(cfg.v1, cfg.v2, cfg.v3, cfg.va) for cfg in cfgs]).T
+        case = [_CASES.index((plane_of(c), abs(c.v2) <= 1e-14 * c.scale())) for c in cfgs]
+        return cls(cfgs[0].m, 0.5 * geom.l, v, np.array(case))
+
+    def at(self, idx):
+        return _ScanResiduals(self.m, self.half, self.v[:, idx], self.case[idx])
+
+    def _by_case(self, fn, e):
+        """fn(e, m, half, v1, v2, v3, va, plane, v2_zero) -> tuple of arrays,
+        unmasked on one form, else per form on its own elements."""
+        if self.single is not None:
+            return fn(e, *self.single)
+        outs = None
+        for case in self.cases:
+            sel = self.case == case
+            part = fn(e[sel], self.m, self.half, *self.v[:, sel], *_CASES[case])
+            if outs is None:
+                outs = tuple(np.empty_like(e) for _ in part)
+            for out, p in zip(outs, part):
+                out[sel] = p
+        return outs
 
     def both(self, e):
-        e = np.asarray(e, dtype=float)
-        k2 = self.k2(e)
-        kap = np.sqrt((self.m - e) * (self.m + e))
-        # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
-        # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is
-        # evaluated on its own points only: cosh overflows where the ratio is
-        # used, and an overflow in a discarded branch would still warn.
-        neg = k2 < 0
-        s = np.empty_like(e)
-        c = np.ones_like(e)
-        s[neg] = sc_ratio(k2[neg], self.half)
-        s[~neg], c[~neg] = sc_kernels(k2[~neg], self.half)
-        # plus family: E * r_plus, or r_plus itself when v2 == 0
-        fac = kap if self.v2_zero else kap * (e - self.v2)
-        lead = 1.0 if self.v2_zero else e
-        rp = fac * s + lead * c
-        # minus family: E * r_minus on plane A, where k^2 keeps no zero at v2;
-        # elsewhere E * r_minus/(E - v2) = kap c - E W s, or r_minus itself
-        # off the planes when v2 == 0
-        if self.plane == "A":
-            rm = kap * (e - self.v2) * c - e * k2 * s
-        elif self.plane == "generic" and self.v2_zero:
-            rm = kap * c - k2 * s
-        else:
-            rm = kap * c - e * self.w(e) * s
-        return rp, rm
+        return self._by_case(_residuals, np.asarray(e, dtype=float))
+
+    def k2(self, e):
+        (k2,) = self._by_case(_k2, np.asarray(e, dtype=float))
+        return k2
+
+
+def _k2(e, m, half, v1, v2, v3, va, plane, v2_zero):
+    return (K2_OF_PLANE[plane](e, v1, v2, v3, va),)
 
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -213,10 +269,11 @@ def _scan_brackets(both, segments, n_grid, refine=4):
     sign-change cell split into `refine` equal parts, which separates close
     root pairs, and log-spaced ladders at both ends of every segment, which
     recover roots crowding the window and gap edges (three decades below the
-    cell size).  Returns the sorted, duplicate-free brackets of each parity.
+    cell size).  Returns the sorted, duplicate-free brackets of each parity
+    as (n, 2) arrays.
     """
     if not segments:
-        return [[], []]
+        return [np.empty((0, 2)), np.empty((0, 2))]
     grids = rootfind.segment_grids(segments, n_grid)
     ladders = []
     for (slo, shi), xs in zip(segments, grids):
@@ -242,7 +299,72 @@ def _scan_brackets(both, segments, n_grid, refine=4):
         start += sub.size
         rows = [refine + 1] * (sub.size // (refine + 1)) + ladder_lengths
         found = rootfind.sign_change_brackets(np.concatenate([sub, ladder_x]), fs, rows)
-        out.append(sorted(set(found)))
+        out.append(np.array(sorted(set(found)), dtype=float).reshape(-1, 2))
+    return out
+
+
+# Configurations (V points of a sweep) whose brackets go through one
+# refine_brackets pass.  Refinement costs about 33 residual calls whatever
+# the number of brackets; one fig6 V point gives those calls ~300 abscissas
+# at most, so numpy's per-call overhead dominates, while a block of 16 gives
+# them ~4.5k.  On the 120 V points of the benchmark's fig6 sweep (2-core VM,
+# numpy 2.4) the refine-stage residual took 0.53 s a V point at a time, and
+# 0.136, 0.109, 0.114 and 0.155 s in blocks of 8, 16, 32 and 120; one call
+# allocates at most 0.5 MiB in a block of 16 and 2.7 MiB in one of 120.  The
+# scans stay per configuration: they already hold ~4,000 points per call.
+BLOCK_SIZE = 16
+
+
+def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
+    """find_bound_states of each configuration, refined in one pass.
+
+    Every configuration is scanned on its own; the brackets of all
+    (configuration, parity) families are then refined together, each family
+    with its own bisection count, so each configuration gets the floats of a
+    solve on its own.
+    """
+    res = _ScanResiduals.of(cfgs, geom)
+    m = res.m
+    families = [
+        fam
+        for i, cfg in enumerate(cfgs)
+        for fam in _scan_brackets(res.at(i).both, scan_segments(cfg, extra_exclusions), n_grid)
+    ]
+    sizes = [len(fam) for fam in families]
+    # family 2 i holds the "+" brackets of configuration i, family 2 i + 1 the "-"
+    owner, parity = np.divmod(np.arange(2 * len(cfgs)), 2)
+    refined = rootfind.refine_brackets(
+        res.at(np.repeat(owner, sizes)).both,
+        np.concatenate(families),
+        xtol=ROOT_XTOL * m,
+        families=sizes,
+        pick=np.repeat(parity, sizes),
+    )
+    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
+    kept = []
+    for roots, fr in refined:
+        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
+        keep = (lo < roots) & (roots < hi)
+        kept.append((roots[keep], fr[keep]))
+    counts = [roots.size for roots, _ in kept]
+    roots = np.concatenate([r for r, _ in kept])
+    fields = (
+        roots,
+        kappa(roots, m),
+        np.sqrt((m - roots) / (m + roots)),
+        res.at(np.repeat(owner, counts)).k2(roots),
+        np.abs(np.concatenate([f for _, f in kept])),
+    )
+    states = [
+        BoundStateSolution(r, "+-"[p], kap, rho, k2, f)
+        for p, r, kap, rho, k2, f in zip(
+            np.repeat(parity, counts).tolist(), *(a.tolist() for a in fields)
+        )
+    ]
+    out, start = [], 0
+    for n in np.add(counts[::2], counts[1::2]).tolist():
+        out.append(sorted(states[start : start + n], key=lambda st: st.energy))
+        start += n
     return out
 
 
@@ -262,34 +384,27 @@ def find_bound_states(
     calls (about 35) whatever the number of levels.  extra_exclusions is a
     list of (lo, hi) intervals left out of the scan (used by cross-validation
     harnesses to equalize domains).
+
+    This is the one-configuration case of the block solver behind
+    find_bound_states_many, which refines one bracket family per
+    (configuration, parity) for BLOCK_SIZE configurations in one pass; each
+    family keeps its own bisection count, so both return the same floats.
     """
-    m = cfg.m
-    res = _ScanResiduals(cfg, geom)
-    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    brackets = _scan_brackets(res.both, scan_segments(cfg, extra_exclusions), n_grid)
-    refined = rootfind.refine_brackets(
-        res.both,
-        brackets[0] + brackets[1],
-        xtol=ROOT_XTOL * m,
-        families=[len(b) for b in brackets],
-    )
+    return _solve_block([cfg], geom, n_grid, extra_exclusions)[0]
+
+
+def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = 4000):
+    """find_bound_states of each configuration (sharing geom and m), float for float.
+
+    Configurations are solved BLOCK_SIZE at a time: each is scanned on its
+    own, and the brackets of a block, one family per (configuration,
+    parity), are refined in one pass.  A block of 16 makes about 33 refine
+    calls in place of 16 x 33.
+    """
+    cfgs = list(cfgs)
     out = []
-    for parity, (roots, fr) in zip("+-", refined):
-        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
-        keep = (lo < roots) & (roots < hi)
-        roots, fr = roots[keep], fr[keep]
-        fields = (
-            roots,
-            kappa(roots, m),
-            np.sqrt((m - roots) / (m + roots)),
-            res.k2(roots),
-            np.abs(fr),
-        )
-        out.extend(
-            BoundStateSolution(r, parity, kap, rho, k2, f)
-            for r, kap, rho, k2, f in zip(*(a.tolist() for a in fields))
-        )
-    out.sort(key=lambda s: s.energy)
+    for start in range(0, len(cfgs), BLOCK_SIZE):
+        out.extend(_solve_block(cfgs[start : start + BLOCK_SIZE], geom, n_grid))
     return out
 
 
@@ -299,7 +414,7 @@ def find_bound_states(
 def _check_solution(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
     if not abs(sol.energy) < cfg.m:
         raise OutOfDomainSolution(f"E = {sol.energy} outside the gap")
-    both = _ScanResiduals(cfg, geom).both(np.asarray([sol.energy]))
+    both = _ScanResiduals.of([cfg], geom).at(0).both(np.asarray([sol.energy]))
     r = float(np.abs(both["+-".index(sol.parity)][0]))
     # levels crowding the va accumulation point have huge residual slopes, so
     # the reinsertion threshold must stay loose; foreign solutions miss by O(1)

@@ -169,7 +169,12 @@ def cmd_sweep(args) -> int:
         for v, st in zip(br.v_values, br.states):
             rows.append((v, st.parity, st.energy, bi, int(np.sign(st.k2))))
     rows.sort(key=lambda r: (r[0], r[2]))
-    io_utils.write_csv(args.out, ["V", "parity", "E_b", "branch_id", "k2_sign"], rows)
+    io_utils.write_csv(
+        args.out,
+        ["V", "parity", "E_b", "branch_id", "k2_sign"],
+        rows,
+        row_format="{:.12g},{},{:.12g},{},{}\r\n",
+    )
     stype = classify(pencil)
     if args.out and args.out != "-":
         io_utils.write_manifest(

@@ -28,8 +28,18 @@ def render_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, header, rows):
-    text = render_csv(header, rows)
+def render_rows(header, rows, row_format: str) -> str:
+    """CSV text of rows that share one format string, e.g. "{:.12g},{}\\r\\n".
+
+    The same bytes as render_csv when each field of row_format renders as
+    fmt does and no value needs quoting, without a Python call per value.
+    """
+    return ",".join(header) + "\r\n" + "".join([row_format.format(*row) for row in rows])
+
+
+def write_csv(path, header, rows, row_format: str | None = None):
+    """Write render_csv(header, rows), or render_rows with row_format; "-" is stdout."""
+    text = render_csv(header, rows) if row_format is None else render_rows(header, rows, row_format)
     if path is None or path == "-":
         sys.stdout.write(text)
         return None

@@ -224,12 +224,32 @@ def sc_ratio(w, t):
 
 # --- scalar kernels ----------------------------------------------------------
 
+# k^2 and W = k^2/(E - v2) per plane, elementwise in E and in the strengths
+K2_OF_PLANE = {
+    "generic": lambda e, v1, v2, v3, va: (e - v1) * (e - v2) * (e - v3) / (e - va),
+    "A": lambda e, v1, v2, v3, va: (e - v1) * (e - v3),
+    "AB": lambda e, v1, v2, v3, va: (e - v2) ** 2,
+}
+W_OF_PLANE = {
+    "generic": lambda e, v1, v2, v3, va: (e - v1) * (e - v3) / (e - va),
+    "A": lambda e, v1, v2, v3, va: (e - v1) * (e - v3) / (e - v2),
+    "AB": lambda e, v1, v2, v3, va: e - v2,
+}
+
+
+def plane_of(cfg: PotentialConfig) -> str:
+    """"generic", "A" (v2 = va) or "AB" (also v1 = v3), decided at REDUCE_RTOL."""
+    if not cfg.on_plane_a(REDUCE_RTOL):
+        return "generic"
+    return "A" if not cfg.on_plane_b(REDUCE_RTOL) else "AB"
+
+
 def dispersion(cfg: PotentialConfig):
     """(plane, k2, w): the reduction of cfg and its k^2(E) and W(E) = k^2/(E - v2).
 
-    plane is "generic", "A" (v2 = va) or "AB" (also v1 = v3), decided once at
-    REDUCE_RTOL; k2 and w are elementwise functions of E with one expression
-    per plane:
+    plane is plane_of(cfg); k2 and w are elementwise functions of E with one
+    expression per plane (K2_OF_PLANE, W_OF_PLANE, which also take arrays of
+    strengths):
 
         generic  k2 = (E - v1)(E - v2)(E - v3)/(E - va)   W = (E - v1)(E - v3)/(E - va)
         A        k2 = (E - v1)(E - v3)                    W = (E - v1)(E - v3)/(E - v2)
@@ -240,20 +260,10 @@ def dispersion(cfg: PotentialConfig):
     A): k_squared and the connection matrix raise PoleAtVa there, and the
     bound-state scan keeps a window around va.
     """
-    v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
-    if not cfg.on_plane_a(REDUCE_RTOL):
-        return (
-            "generic",
-            lambda e: (e - v1) * (e - v2) * (e - v3) / (e - va),
-            lambda e: (e - v1) * (e - v3) / (e - va),
-        )
-    if not cfg.on_plane_b(REDUCE_RTOL):
-        return (
-            "A",
-            lambda e: (e - v1) * (e - v3),
-            lambda e: (e - v1) * (e - v3) / (e - v2),
-        )
-    return "AB", lambda e: (e - v2) ** 2, lambda e: e - v2
+    plane = plane_of(cfg)
+    k2, w = K2_OF_PLANE[plane], W_OF_PLANE[plane]
+    v = (cfg.v1, cfg.v2, cfg.v3, cfg.va)
+    return plane, lambda e: k2(e, *v), lambda e: w(e, *v)
 
 
 def k_squared(cfg: PotentialConfig, e):

@@ -7,12 +7,15 @@ accepted when they reduce the residual.  Everything works on arrays, so a
 whole solve costs a fixed number of residual calls:
 
 - `sign_change_brackets` scans many grids (rows) in one call;
-- `refine_brackets` refines several bracket families in one pass, with a
-  residual that returns one array per family (the two parities of the
-  bound-state solver and of the oracle).  Each bracket keeps the bisection
-  count of its own family, ceil(log2(widest bracket of the family / xtol))
-  + 1, and is frozen once that count is spent, so every family gets exactly
-  the floats a separate call on its brackets would return.
+- `refine_brackets` refines many bracket families in one pass.  The residual
+  is evaluated once per step on the abscissas of every bracket, in bracket
+  order, and each bracket reads its own output of the residual (its parity).
+  Each bracket keeps the bisection count of its own family,
+  ceil(log2(widest bracket of the family / xtol)) + 1, and is frozen once
+  that count is spent, so every family gets exactly the floats a separate
+  call on its brackets would return.  The bound-state solver makes one family
+  per (configuration, parity): a block of 16 V points of a sweep, both
+  parities each, goes through one pass (see boundstates.BLOCK_SIZE).
 """
 
 from __future__ import annotations
@@ -56,27 +59,31 @@ def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
     ]
 
 
-def refine_brackets(func, brackets, xtol: float, families, polish: int = 2):
+def refine_brackets(func, brackets, xtol: float, families, polish: int = 2, pick=None):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
-    brackets is the concatenation of consecutive families of sizes
-    families[0], families[1], ...; func maps an array of abscissas to one
-    residual array per family (as _ScanResiduals.both returns the two
-    parities).  Returns one (roots, residuals) pair per family, sorted by
-    root, exactly what a call on that family's brackets alone returns.
-    Brackets whose endpoints do not actually straddle a sign change (can
-    happen after grid refinement around an exact zero) collapse to the
+    brackets is an (n, 2) array (or a list of (lo, hi) pairs), the
+    concatenation of consecutive families of sizes families[0],
+    families[1], ...  func maps an array holding one abscissa per bracket, in
+    bracket order, to a sequence of residual arrays (as _ScanResiduals.both
+    returns the two parities); bracket i reads output pick[i], by default the
+    index of its family.  Returns one (roots, residuals) pair per family,
+    sorted by root, exactly what a call on that family's brackets alone
+    returns.  Brackets whose endpoints do not actually straddle a sign change
+    (can happen after grid refinement around an exact zero) collapse to the
     endpoint with the smaller |f|.
     """
     sizes = list(families)
-    if not brackets:
+    brackets = np.asarray(brackets, dtype=float).reshape(-1, 2)
+    if brackets.size == 0:
         return [(np.empty(0), np.empty(0)) for _ in sizes]
-    a = np.array([b[0] for b in brackets], dtype=float)
-    b = np.array([b[1] for b in brackets], dtype=float)
-    label = np.repeat(np.arange(len(sizes)), sizes)
+    a = brackets[:, 0].copy()
+    b = brackets[:, 1].copy()
+    if pick is None:
+        pick = np.repeat(np.arange(len(sizes)), sizes)
 
     def f(x):
-        return np.choose(label, func(x))
+        return np.choose(pick, func(x))
 
     # every bracket gets the bisection count of the widest one in its family
     cuts = np.cumsum(sizes)[:-1]

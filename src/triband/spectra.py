@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rootfind
-from .boundstates import find_bound_states
+from .boundstates import find_bound_states_many
 from .model import (
     Geometry,
     OutOfValidityWindow,
@@ -132,23 +132,33 @@ def sweep(
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
 
-    Linking matches each active branch, in order, to the nearest untaken state
-    of the same parity, predicted by local slope, with maximum jump
-    5 * dV * max(|slope|, 1) (ties go to the lowest state index); unmatched
-    states open new branches and abandoned branches close (both recorded as
-    events).  The nearest state is found by bisection in an energy-sorted
-    list of the untaken states, so linking costs O(log n) per branch.
+    The levels come from boundstates.find_bound_states_many: V points are
+    solved in blocks of boundstates.BLOCK_SIZE (16), each V scanned on its
+    own and the brackets of every (V, parity) family of a block refined in
+    one pass, so every V gets the floats find_bound_states returns for it
+    while a block of 16 makes about 33 refine calls instead of 16 x 33.
+    The levels are then linked by _link.
     """
     if v_grid is None:
         v_grid = pencil.v_grid
     v_grid = np.asarray(sorted(v_grid), dtype=float)
     if v_grid.size == 0:
         raise ValueError("empty V grid")
-    levels = []
-    for v in v_grid:
-        cfg = pencil.config(v, m)
-        levels.append(find_bound_states(cfg, geom, n_grid=n_grid))
+    levels = find_bound_states_many([pencil.config(v, m) for v in v_grid], geom, n_grid=n_grid)
+    branches, events = _link(v_grid, levels)
+    return BranchedSpectrum(pencil, geom, m, v_grid, levels, branches, events)
 
+
+def _link(v_grid, levels):
+    """(branches, events) linking the levels of each V to those of the last.
+
+    Matches each active branch, in order, to the nearest untaken state of the
+    same parity, predicted by local slope, with maximum jump
+    5 * dV * max(|slope|, 1) (ties go to the lowest state index); unmatched
+    states open new branches and abandoned branches close (both recorded as
+    events).  The nearest state is found by bisection in an energy-sorted
+    list of the untaken states, so linking costs O(log n) per branch.
+    """
     branches: list[Branch] = []
     active: list[Branch] = []
     events = []
@@ -187,7 +197,7 @@ def sweep(
                 if i > 0:
                     events.append((float(v), "appear", st.parity))
         active = still_active
-    return BranchedSpectrum(pencil, geom, m, v_grid, levels, branches, events)
+    return branches, events
 
 
 def _take_nearest(energies, indices, pred, max_jump):

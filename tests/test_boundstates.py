@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from triband.model import (
     sc_kernels,
     sc_ratio,
 )
-from triband.spectra import PencilSpec
+from triband.spectra import PencilSpec, sweep
 from triband.verify import comparison_domain, random_configs
 
 FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
@@ -398,6 +399,12 @@ def test_residual_calls_per_solve_do_not_grow_with_levels(monkeypatch):
         n_calls.append(len(calls))
     assert min(n_levels) <= 2 and max(n_levels) >= 300
     assert max(n_calls) <= 40, n_calls
+    # a sweep scans each V on its own (two calls) and refines the brackets of
+    # a block of 16 V points in one pass
+    calls.clear()
+    v_grid = np.linspace(-12.0, 12.0, 2400)[::20]
+    sweep(PencilSpec("P2", 1, 1, -1), Geometry.centered(2.0), v_grid)
+    assert len(calls) <= 2 * v_grid.size + 40 * math.ceil(v_grid.size / 16), len(calls)
 
 def _solutions():
     # well-isolated levels: keep clear of the accumulation point at va and of

@@ -60,3 +60,31 @@ def test_joint_refine_equals_one_call_per_family():
     assert got[0][0].size == 0 and got[0][1].size == 0
     (alone,) = rootfind.refine_brackets(_one_parity(1), minus, xtol, [len(minus)])
     assert np.array_equal(got[1][0], alone[0]) and np.array_equal(got[1][1], alone[1])
+
+
+def test_refine_by_pick_equals_one_call_per_family():
+    # 70 families, more than np.choose takes arrays, each reading one of the
+    # two outputs by pick, as the solver's (V, parity) families of a block do;
+    # bracket widths grow with the family, so every family has its own count
+    xtol = 1e-12
+    families = []
+    for j in range(70):
+        k, w = j % 2, 1e-6 * 1.2**j  # up to 0.29, below half the root spacing
+        if k == 0:
+            roots = [-np.pi / 7.0, np.pi / 7.0]
+        else:
+            roots = [-np.arccos(0.3) / 5.0, np.arccos(0.3) / 5.0]
+        families.append((k, [(r - w, r + 0.5 * w) for r in roots]))
+    brackets = np.array([b for _, fam in families for b in fam])
+    sizes = [len(fam) for _, fam in families]
+    pick = np.repeat([k for k, _ in families], sizes)
+    for polish in (0, 2):
+        got = rootfind.refine_brackets(
+            _two_parities, brackets, xtol, sizes, polish=polish, pick=pick
+        )
+        assert len(got) == len(families)
+        for (k, fam), (roots, res) in zip(families, got):
+            (alone,) = rootfind.refine_brackets(
+                _one_parity(k), fam, xtol, [len(fam)], polish=polish
+            )
+            assert np.array_equal(roots, alone[0]) and np.array_equal(res, alone[1])

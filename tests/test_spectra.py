@@ -5,6 +5,7 @@ import pytest
 
 from triband import spectra
 from triband.boundstates import BoundStateSolution, find_bound_states
+from triband.cli import SWEEP_PRESETS
 from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
 from triband.spectra import (
@@ -257,15 +258,46 @@ def _state(e, parity="+"):
         ([-0.25, _state(0.01, "-"), 0.25], -0.25),
     ],
 )
-def test_linking_tie_goes_to_lowest_index(monkeypatch, candidates, expected):
+def test_linking_tie_goes_to_lowest_index(candidates, expected):
     later = [c if isinstance(c, BoundStateSolution) else _state(c) for c in candidates]
-    by_v = {0.0: [_state(0.0)], 1.0: later, 2.0: []}
-    monkeypatch.setattr(spectra, "find_bound_states", lambda cfg, geom, **kw: by_v[cfg.v22])
-    spectrum = sweep(PencilSpec("P1", 0, 1, 0), Geometry.centered(1.0), [0.0, 1.0, 2.0])
-    first = spectrum.branches[0]
+    v_grid = np.array([0.0, 1.0, 2.0])
+    levels = [[_state(0.0)], later, []]
+    branches, events = spectra._link(v_grid, levels)
+    first = branches[0]
     assert first.v_values == [0.0, 1.0]
     assert first.states[1] is later[[s.energy for s in later].index(expected)]
-    assert _linked(spectrum) == _greedy_link(spectrum.v_grid, spectrum.levels)
+    linked = [(b.parity, b.v_values, b.states) for b in branches], events
+    assert linked == _greedy_link(v_grid, levels)
+
+
+def _per_v_sweep(pencil, geom, v_grid):
+    """The sweep before V blocks: one find_bound_states call per V, then _link."""
+    v_grid = np.asarray(sorted(v_grid), dtype=float)
+    levels = [find_bound_states(pencil.config(v), geom) for v in v_grid]
+    branches, events = spectra._link(v_grid, levels)
+    return levels, [(b.parity, b.v_values, b.states) for b in branches], events
+
+
+def test_batched_sweep_matches_per_v_solves():
+    fig6 = PencilSpec("P2", 1, 1, -1), Geometry.centered(2.0)
+    fig6_grid = np.linspace(-12.0, 12.0, 2400)
+    cases = [(*fig6, fig6_grid[offset::20]) for offset in (0, 10)]
+    # 61 points put V = 0 on the grid, where fig5 and fig6 reach plane AB
+    # inside a block of generic configurations; fig8 keeps v2 = 0 throughout
+    for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"):
+        vertex, alphas, l = SWEEP_PRESETS[name]
+        cases.append((PencilSpec(vertex, *alphas), Geometry.centered(l), np.linspace(-12, 12, 61)))
+    cases.append((*fig6, np.linspace(-3.0, 5.0, 21)))  # 21 = 16 + 5 points
+    cases.append((*fig6, [0.5]))
+    for pencil, geom, v_grid in cases:
+        spectrum = sweep(pencil, geom, v_grid)
+        levels, branches, events = _per_v_sweep(pencil, geom, v_grid)
+        # every field of every level equal as a float, not merely close
+        assert spectrum.levels == levels, (pencil, len(v_grid))
+        assert [(b.parity, b.v_values, b.states) for b in spectrum.branches] == branches
+        assert spectrum.events == events
+    assert sum(len(lv) for lv in spectrum.levels) > 0
+
 
 def test_type_p_connector_crosses_imaginary_band():
     # along v11 = v22 = v33 = V the even level starts inside the evanescent

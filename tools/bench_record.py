@@ -1,0 +1,142 @@
+"""Alternating parent/change runs of perfbench/run.py, folded into one JSON file.
+
+    python3 tools/bench_record.py --parent HEAD~1 --workload sweep_fig6 \
+        --seeds 101-110 --seconds 20 --trace 0 --out BENCH_7.json
+
+--parent is a git revision: its committed files are unpacked with `git archive`
+into a temporary directory and benchmarked there.  The change is this checkout
+(or --change DIR).  Each seed makes one pair of runs, and the order within a
+pair alternates (parent first on even pairs, change first on odd ones), so a
+drift of the machine does not favour either side.  The last JSON line of every
+run goes into --out, with the machine (nproc, Python and numpy versions) and,
+per workload, trace mode and metric, the medians and quartiles of both sides and
+the number of pairs the change wins.  An existing --out is extended, so one file
+can hold several workloads.  Run from the root of a checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _seeds(text: str) -> list[int]:
+    """'1-3,7' -> [1, 2, 3, 7]."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _unpack(rev: str, dest: Path) -> Path:
+    archive = dest / "parent.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "parent")
+    return dest / "parent"
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _quartiles(values):
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(q2), "q1": float(q1), "q3": float(q3)}
+
+
+def summarize(runs, declared) -> dict:
+    """Per (workload, trace) and metric: both sides' medians and quartiles,
+    and the pairs the change wins in the metric's better direction."""
+    better = {
+        m["name"]: m["better"] for kind in ("end_to_end", "per_layer") for m in declared[kind]
+    }
+    out = {}
+    groups = sorted({(r["workload"], r["trace"]) for r in runs})
+    for workload, trace in groups:
+        pairs = {}
+        for r in runs:
+            if (r["workload"], r["trace"]) == (workload, trace):
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        metrics = {}
+        for name in pairs[0]["parent"]["metrics"] if pairs else ():
+            par = [p["parent"]["metrics"][name]["value"] for p in pairs]
+            chg = [p["change"]["metrics"][name]["value"] for p in pairs]
+            sign = 1.0 if better.get(name) == "higher" else -1.0
+            metrics[name] = {
+                "parent": _quartiles(par),
+                "change": _quartiles(chg),
+                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(par, chg)),
+            }
+        out[f"{workload}/trace{trace}"] = {
+            "pairs": len(pairs),
+            "all_correct": all(p[s]["correct"] for p in pairs for s in p),
+            "metrics": metrics,
+        }
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", default=str(ROOT), help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="e.g. 101-110 or 1,5,9")
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    out_path = Path(args.out)
+    record = json.loads(out_path.read_text()) if out_path.exists() else {"runs": []}
+    record["machine"] = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_rev = subprocess.run(
+            ["git", "rev-parse", args.parent], cwd=ROOT, stdout=subprocess.PIPE, text=True,
+            check=True,
+        ).stdout.strip()
+        sides = {"parent": _unpack(parent_rev, Path(tmp)), "change": Path(args.change)}
+        for k, seed in enumerate(_seeds(args.seeds)):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = _run(sides[side], args.workload, seed, args.seconds, args.trace)
+                record["runs"].append({
+                    "side": side, "workload": args.workload, "seed": seed,
+                    "seconds": args.seconds, "trace": args.trace, "result": result,
+                })
+                value = result["metrics"].get("ops_per_s", {}).get("value")
+                print(f"{args.workload} seed={seed} {side}: ops_per_s={value}", flush=True)
+                out_path.write_text(json.dumps(record, indent=1) + "\n")
+    record["parent_rev"] = parent_rev
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record["summary"] = summarize(record["runs"], declared)
+    out_path.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
