@@ -39,9 +39,6 @@ class BandTriple:
     k: float
     flat_flag: bool = False
 
-    def as_tuple(self):
-        return (self.e_minus, self.e_mid, self.e_plus)
-
 
 @dataclass(frozen=True)
 class FlatBandClass:

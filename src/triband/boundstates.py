@@ -23,6 +23,7 @@ magnitude without moving any zero.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,6 @@ class ConnectionMatrix:
     @property
     def det(self) -> float:
         return self.l11 * self.l22 - self.l12 * self.l21
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.l11, self.l12], [self.l21, self.l22]])
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,13 @@ def split_residuals(cfg: PotentialConfig, geom: Geometry, e: float):
     return float(fac * s2 + c2), float(fac * c2 - k2 * s2)
 
 
-# The scan residuals take one of six forms, by plane and by whether v2 = 0.
-_CASES = [(plane, v2_zero) for plane in ("generic", "A", "AB") for v2_zero in (False, True)]
+def _form(cfg: PotentialConfig):
+    """The scan residual form of cfg: (plane, v2 = 0), six forms in all."""
+    return plane_of(cfg), bool(abs(cfg.v2) <= 1e-14 * cfg.scale())
 
 
 def _residuals(e, m, half, v1, v2, v3, va, plane, v2_zero):
-    """(plus, minus) scan residuals of one case; strengths scalar or per E."""
+    """(plus, minus) scan residuals of one form; strengths scalar or per E."""
     k2 = K2_OF_PLANE[plane](e, v1, v2, v3, va)
     kap = np.sqrt((m - e) * (m + e))
     # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
@@ -182,69 +181,42 @@ def _residuals(e, m, half, v1, v2, v3, va, plane, v2_zero):
 
 
 class _ScanResiduals:
-    """Pole-free, overflow-safe scan residuals of configurations sharing m and l.
+    """Pole-free, overflow-safe scan residuals of configurations of one form.
 
     both(E) returns (plus, minus): plus has the zeros of the E+ family, minus
     those of the E- family.  Both are smooth on the gap minus the va pole
-    (off-plane) and bounded in the imaginary-k region.  at(i) holds the
-    strengths of configuration i; at(idx) with an index array holds one
-    configuration per abscissa, so one call scores E values of many
-    configurations, each with the floats its own call returns.  When every
-    abscissa has the same form (plane and v2 = 0) the call is unmasked,
-    otherwise each form is evaluated on its own elements.
+    (off-plane) and bounded in the imaginary-k region.  The configurations
+    share m, l and the residual form (_form: plane and v2 = 0), so every call
+    is one unmasked evaluation of that form.  at(i) holds the strengths of
+    configuration i; at(idx) with an index array holds one configuration per
+    abscissa, so one call scores E values of many configurations, each with
+    the floats its own call returns.
     """
 
-    def __init__(self, m: float, half: float, v, case):
-        self.m, self.half = m, half
-        self.v = v  # rows v1, v2, v3, va; one column per configuration
-        self.case = case  # index into _CASES per configuration
-        # the forms present; np.unique would cost ~1.7 MiB of RSS on first use
-        self.cases = np.flatnonzero(np.bincount(np.ravel(case), minlength=len(_CASES)))
-        # arguments of the unmasked call, built once: one form, or none for
-        # an empty index
-        self.single = None
-        if self.cases.size < 2:
-            self.single = (m, half, *v, *_CASES[self.cases[0] if self.cases.size else 0])
+    def __init__(self, m: float, half: float, v, form):
+        self.m, self.half, self.v, self.form = m, half, v, form
+        # the call's arguments, built once: v holds rows v1, v2, v3, va with
+        # one column per configuration (or per abscissa)
+        self.args = (m, half, *v, *form)
 
     @classmethod
     def of(cls, cfgs, geom: Geometry):
         if len({cfg.m for cfg in cfgs}) != 1:
             raise ValueError("configurations of one block must share the mass m")
+        forms = {_form(cfg) for cfg in cfgs}
+        if len(forms) != 1:
+            raise ValueError(f"configurations of one block must share one form, got {forms}")
         v = np.array([(cfg.v1, cfg.v2, cfg.v3, cfg.va) for cfg in cfgs]).T
-        case = [_CASES.index((plane_of(c), abs(c.v2) <= 1e-14 * c.scale())) for c in cfgs]
-        return cls(cfgs[0].m, 0.5 * geom.l, v, np.array(case))
+        return cls(cfgs[0].m, 0.5 * geom.l, v, forms.pop())
 
     def at(self, idx):
-        return _ScanResiduals(self.m, self.half, self.v[:, idx], self.case[idx])
-
-    def _by_case(self, fn, e):
-        """fn(e, m, half, v1, v2, v3, va, plane, v2_zero) -> tuple of arrays,
-        unmasked on one form, else per form on its own elements."""
-        if self.single is not None:
-            return fn(e, *self.single)
-        outs = None
-        for case in self.cases:
-            sel = self.case == case
-            part = fn(e[sel], self.m, self.half, *self.v[:, sel], *_CASES[case])
-            if outs is None:
-                outs = tuple(np.empty_like(e) for _ in part)
-            for out, p in zip(outs, part):
-                out[sel] = p
-        return outs
+        return _ScanResiduals(self.m, self.half, self.v[:, idx], self.form)
 
     def both(self, e):
-        return self._by_case(_residuals, np.asarray(e, dtype=float))
+        return _residuals(np.asarray(e, dtype=float), *self.args)
 
     def k2(self, e):
-        (k2,) = self._by_case(_k2, np.asarray(e, dtype=float))
-        return k2
-
-
-def _k2(e, m, half, v1, v2, v3, va, plane, v2_zero):
-    return (K2_OF_PLANE[plane](e, v1, v2, v3, va),)
-
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+        return K2_OF_PLANE[self.form[0]](np.asarray(e, dtype=float), *self.v)
 
 
 def scan_segments(cfg: PotentialConfig, extra_exclusions=()):
@@ -262,14 +234,14 @@ def scan_segments(cfg: PotentialConfig, extra_exclusions=()):
     return rootfind.subtract_windows(lo, hi, windows)
 
 
-def _scan_brackets(both, segments, n_grid, refine=4):
+def _scan_brackets(both, segments, n_grid):
     """Sign-change brackets of both parities in two residual calls.
 
     The first call scans the segment grids.  The second covers every
-    sign-change cell split into `refine` equal parts, which separates close
-    root pairs, and log-spaced ladders at both ends of every segment, which
-    recover roots crowding the window and gap edges (three decades below the
-    cell size).  Returns the sorted, duplicate-free brackets of each parity
+    sign-change cell split into 4 equal parts (5 points), which separates
+    close root pairs, and log-spaced ladders at both ends of every segment,
+    which recover roots crowding the window and gap edges (three decades
+    below the cell size).  Returns the sorted, duplicate-free brackets of each parity
     as (n, 2) arrays.
     """
     if not segments:
@@ -287,7 +259,7 @@ def _scan_brackets(both, segments, n_grid, refine=4):
     cells = [
         np.array(rootfind.sign_change_brackets(x, f, lengths)).reshape(-1, 2) for f in both(x)
     ]
-    subs = [np.linspace(c[:, 0], c[:, 1], refine + 1, axis=-1).ravel() for c in cells]
+    subs = [np.linspace(c[:, 0], c[:, 1], 5, axis=-1).ravel() for c in cells]
     ladder_x = np.concatenate(ladders)
     ladder_lengths = [lad.size for lad in ladders]
     # layout: the "+" cells, the "-" cells, then the ladders both parities scan
@@ -297,7 +269,7 @@ def _scan_brackets(both, segments, n_grid, refine=4):
     for sub, f in zip(subs, both(np.concatenate(subs + [ladder_x]))):
         fs = np.concatenate([f[start : start + sub.size], f[n_subs:]])
         start += sub.size
-        rows = [refine + 1] * (sub.size // (refine + 1)) + ladder_lengths
+        rows = [5] * (sub.size // 5) + ladder_lengths
         found = rootfind.sign_change_brackets(np.concatenate([sub, ladder_x]), fs, rows)
         out.append(np.array(sorted(set(found)), dtype=float).reshape(-1, 2))
     return out
@@ -399,12 +371,17 @@ def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = 4000):
     Configurations are solved BLOCK_SIZE at a time: each is scanned on its
     own, and the brackets of a block, one family per (configuration,
     parity), are refined in one pass.  A block of 16 makes about 33 refine
-    calls in place of 16 x 33.
+    calls in place of 16 x 33.  A block holds one residual form (_form), so
+    blocks are cut where the form changes: each run of consecutive
+    configurations of one form is split into blocks of BLOCK_SIZE.  Along a
+    pencil the form changes only at isolated strengths (V = 0 on the fig4 to
+    fig9 pencils), which then make blocks of their own.
     """
-    cfgs = list(cfgs)
     out = []
-    for start in range(0, len(cfgs), BLOCK_SIZE):
-        out.extend(_solve_block(cfgs[start : start + BLOCK_SIZE], geom, n_grid))
+    for _, run in itertools.groupby(cfgs, key=_form):
+        run = list(run)
+        for start in range(0, len(run), BLOCK_SIZE):
+            out.extend(_solve_block(run[start : start + BLOCK_SIZE], geom, n_grid))
     return out
 
 
@@ -468,12 +445,12 @@ def eigenfunction(
 
     Interior points use the trigonometric form about the midpoint (continued
     kernels for imaginary k), exterior points the decaying rays with rate
-    kappa.  normalize is 'psi2_max' (max |psi2| over the grid equals 1),
-    'l2' (unit trapezoid norm of |psi|^2) or 'raw' (unit internal amplitude,
-    the convention shared with discontinuities()).
+    kappa.  normalize is one of two conventions: 'psi2_max' (max |psi2| over
+    the grid equals 1) or 'raw' (unit internal amplitude, the convention
+    shared with boundary_values() and discontinuities()).
     """
     _check_solution(sol, cfg, geom)
-    e, m = sol.energy, cfg.m
+    e = sol.energy
     x = np.asarray(x_grid, dtype=float)
     rho = sol.rho
     rho_inv = 1.0 / rho
@@ -509,10 +486,6 @@ def eigenfunction(
     if normalize == "psi2_max":
         peak = np.max(np.abs(psi2))
         scale = 1.0 / peak if peak > 0 else 1.0
-    elif normalize == "l2":
-        dens = psi1**2 + psi2**2 + psi3**2
-        norm = _trapz(dens, x) if x.size > 1 else 1.0
-        scale = 1.0 / np.sqrt(norm) if norm > 0 else 1.0
     elif normalize == "raw":
         scale = 1.0
     else:

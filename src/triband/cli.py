@@ -57,6 +57,33 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        x1, x2 = getattr(ns, "x1", None), getattr(ns, "x2", None)
+        if (x1 is None) != (x2 is None):
+            self.error("--x1 and --x2 must be given together")
+        if x1 is not None and not x1 < x2:
+            self.error(f"need --x1 < --x2, got {x1} and {x2}")
+        return ns, rest
+
+
+def _checked(kind, ok, what):
+    """An argparse type: kind(text), rejected with a usage error unless ok."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_positive_float = _checked(float, lambda x: x > 0, "positive")
+_positive_int = _checked(int, lambda x: x > 0, "positive")
+_nonzero_float = _checked(float, lambda x: x != 0, "nonzero")
+
 
 def _triple(text: str):
     parts = [float(p) for p in text.split(",")]
@@ -66,10 +93,11 @@ def _triple(text: str):
 
 
 def _index_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, _, hi = text.partition("..")
+    levels = list(range(int(lo), int(hi or lo) + 1))
+    if not levels or levels[0] < 0:
+        raise argparse.ArgumentTypeError(f"expected N or N0..N1 with 0 <= N0 <= N1, got {text}")
+    return levels
 
 
 def _manifest(args, extra=None):
@@ -119,7 +147,7 @@ def cmd_flat(args) -> int:
 
 
 def _geometry(args) -> Geometry:
-    if getattr(args, "x1", None) is not None and getattr(args, "x2", None) is not None:
+    if args.x1 is not None:  # the parser requires --x2 with it
         return Geometry(args.x1 * args.m, args.x2 * args.m)
     return Geometry.centered(args.l * args.m)
 
@@ -303,9 +331,9 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("bands", help="three-band dispersion over a k grid")
     b.add_argument("--v", type=_triple, required=True, metavar="V11,V22,V33")
-    b.add_argument("--m", type=float, default=1.0)
+    b.add_argument("--m", type=_positive_float, default=1.0)
     b.add_argument("--kmax", type=float, default=5.0)
-    b.add_argument("--nk", type=int, default=400)
+    b.add_argument("--nk", type=_positive_int, default=400)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bands)
 
@@ -313,19 +341,19 @@ def build_parser() -> _Parser:
     f.add_argument("--v11", type=float, default=0.0)
     f.add_argument("--v22", type=float, default=0.0)
     f.add_argument("--v33", type=float, default=0.0)
-    f.add_argument("--m", type=float, default=1.0)
+    f.add_argument("--m", type=_positive_float, default=1.0)
     f.set_defaults(func=cmd_flat)
 
     bs = sub.add_parser("boundstates", help="bound states of one rectangular potential")
     bs.add_argument("--v", type=_triple, default=(0.0, 0.0, 0.0), metavar="V11,V22,V33")
-    bs.add_argument("--m", type=float, default=1.0)
-    bs.add_argument("--l", type=float, default=1.0)
+    bs.add_argument("--m", type=_positive_float, default=1.0)
+    bs.add_argument("--l", type=_positive_float, default=1.0)
     bs.add_argument("--x1", type=float, default=None)
     bs.add_argument("--x2", type=float, default=None)
     bs.add_argument("--preset", choices=["fig3"], default=None)
-    bs.add_argument("--ngrid", type=int, default=4000)
+    bs.add_argument("--ngrid", type=_positive_int, default=4000)
     bs.add_argument("--wavefunction", default=None, help="also write samples to this CSV")
-    bs.add_argument("--nx", type=int, default=801)
+    bs.add_argument("--nx", type=_positive_int, default=801)
     bs.add_argument("--out", default=None)
     bs.set_defaults(func=cmd_boundstates)
 
@@ -333,32 +361,32 @@ def build_parser() -> _Parser:
     sw.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
     sw.add_argument("--vertex", choices=["P1", "P2"], default="P1")
     sw.add_argument("--alphas", type=_triple, default=(1.0, 1.0, 1.0), metavar="a1,a2,a3")
-    sw.add_argument("--l", type=float, default=1.0)
-    sw.add_argument("--m", type=float, default=1.0)
+    sw.add_argument("--l", type=_positive_float, default=1.0)
+    sw.add_argument("--m", type=_positive_float, default=1.0)
     sw.add_argument("--vmin", type=float, default=-12.0)
     sw.add_argument("--vmax", type=float, default=12.0)
-    sw.add_argument("--nv", type=int, default=2400)
-    sw.add_argument("--ngrid", type=int, default=4000)
+    sw.add_argument("--nv", type=_positive_int, default=2400)
+    sw.add_argument("--ngrid", type=_positive_int, default=4000)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 
     pl = sub.add_parser("pointlimit", help="point-interaction limits and convergence")
     pl.add_argument("--family", choices=sorted(FAMILY_NAMES), default="delta")
     pl.add_argument("--set", choices=sorted(SET_PENCILS), default="H2")
-    pl.add_argument("--g", type=float, default=1.0)
+    pl.add_argument("--g", type=_nonzero_float, default=1.0)
     pl.add_argument("--n", type=_index_range, default=[0], metavar="N or N0..N1")
     pl.add_argument("--parity", choices=["+", "-"], default=None)
     pl.add_argument("--preset", choices=["fig10", "fig11", "table1"], default=None)
     pl.add_argument("--converge", action="store_true", help="run a finite-width study")
-    pl.add_argument("--l0", type=float, default=0.25, help="largest width of the study")
-    pl.add_argument("--levels", type=int, default=7, help="number of width halvings")
-    pl.add_argument("--nx", type=int, default=601)
+    pl.add_argument("--l0", type=_positive_float, default=0.25, help="largest width of the study")
+    pl.add_argument("--levels", type=_positive_int, default=7, help="number of width halvings")
+    pl.add_argument("--nx", type=_positive_int, default=601)
     pl.add_argument("--out", default=None)
     pl.set_defaults(func=cmd_pointlimit)
 
     vf = sub.add_parser("verify", help="oracle cross-check and invariant suite")
     vf.add_argument("--seed", type=int, default=42)
-    vf.add_argument("--cases", type=int, default=20)
+    vf.add_argument("--cases", type=_positive_int, default=20)
     vf.set_defaults(func=cmd_verify)
     return p
 

@@ -59,7 +59,7 @@ def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
     ]
 
 
-def refine_brackets(func, brackets, xtol: float, families, polish: int = 2, pick=None):
+def refine_brackets(func, brackets, xtol: float, families, pick=None):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
     brackets is an (n, 2) array (or a list of (lo, hi) pairs), the
@@ -107,7 +107,7 @@ def refine_brackets(func, brackets, xtol: float, families, polish: int = 2, pick
         fa = np.where(right, fm, fa)
     root = 0.5 * (a + b)
     fr = f(root)
-    for _ in range(polish):
+    for _ in range(2):  # secant polish
         denom = fb - fa
         safe = np.abs(denom) > 0
         x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
@@ -163,11 +163,12 @@ def subtract_windows(lo: float, hi: float, windows) -> list[tuple[float, float]]
     return [s for s in segs if s[1] > s[0]]
 
 
-def edge_ladder(edge: float, inward: float, span: float, decades: int = 3, per_decade: int = 24):
+def edge_ladder(edge: float, inward: float, span: float):
     """Log-spaced abscissas approaching `edge` from the `inward` direction.
 
-    Covers distances from `span` down to span/10^decades; used to recover
-    roots that sit close to an excluded window or to the domain boundary.
+    72 points, 24 per decade, cover distances from `span` down to span/10^3;
+    used to recover roots that sit close to an excluded window or to the
+    domain boundary.
     """
-    d = np.logspace(np.log10(span), np.log10(span / 10.0**decades), decades * per_decade)
+    d = np.logspace(np.log10(span), np.log10(span / 1e3), 72)
     return edge + inward * d

@@ -51,7 +51,6 @@ class PencilSpec:
     alpha1: float
     alpha2: float
     alpha3: float
-    v_grid: tuple = ()
 
     def __post_init__(self):
         if self.vertex not in ("P1", "P2"):
@@ -86,9 +85,6 @@ class Branch:
     parity: str
     v_values: list = field(default_factory=list)
     states: list = field(default_factory=list)
-
-    def energies(self):
-        return np.array([s.energy for s in self.states])
 
 
 @dataclass
@@ -126,7 +122,7 @@ def classify(pencil: PencilSpec) -> SpectrumType:
 def sweep(
     pencil: PencilSpec,
     geom: Geometry,
-    v_grid=None,
+    v_grid,
     m: float = 1.0,
     n_grid: int = 4000,
 ) -> BranchedSpectrum:
@@ -137,10 +133,11 @@ def sweep(
     own and the brackets of every (V, parity) family of a block refined in
     one pass, so every V gets the floats find_bound_states returns for it
     while a block of 16 makes about 33 refine calls instead of 16 x 33.
-    The levels are then linked by _link.
+    A block holds V points of one residual form (flat-band plane and
+    v2 = 0), so blocks are cut where the form changes, which on a pencil
+    happens only at isolated V (V = 0 on the fig4 to fig9 pencils).  The
+    levels are then linked by _link.
     """
-    if v_grid is None:
-        v_grid = pencil.v_grid
     v_grid = np.asarray(sorted(v_grid), dtype=float)
     if v_grid.size == 0:
         raise ValueError("empty V grid")

@@ -112,7 +112,7 @@ def test_band_sweep_annotates_panel():
 def test_band_roots_satisfy_dispersion(v11, v22, v33, k):
     cfg = PotentialConfig(v11, v22, v33, 1.0)
     tr = dispersion_bands(cfg, k)
-    for e in tr.as_tuple():
+    for e in (tr.e_minus, tr.e_mid, tr.e_plus):
         f = (e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3)
         assert abs(f - (e - cfg.va) * (k * k)) < 1e-10 * (1.0 + abs(f))
 
@@ -121,8 +121,9 @@ def test_free_particle_hole_symmetry():
     cfg = PotentialConfig(0, 0, 0, 1.0)
     for k in np.linspace(-4, 4, 17):
         tr = dispersion_bands(cfg, k)
-        up = np.sort(tr.as_tuple())
-        dn = np.sort([-e for e in tr.as_tuple()])
+        triple = (tr.e_minus, tr.e_mid, tr.e_plus)
+        up = np.sort(triple)
+        dn = np.sort([-e for e in triple])
         assert np.max(np.abs(up - dn)) < 1e-12
 
 

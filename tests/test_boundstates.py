@@ -41,10 +41,14 @@ FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
 FIG3_GEOM = Geometry.centered(0.5)
 
 
+def _matrix(lam):
+    return np.array([[lam.l11, lam.l12], [lam.l21, lam.l22]])
+
+
 def test_connection_matrix_width_zero_is_identity():
     cfg = PotentialConfig(1.0, -2.0, 0.5, 1.0)
     lam = connection_matrix(cfg, Geometry.centered(1e-12), 0.4)
-    assert np.allclose(lam.as_array(), np.eye(2), atol=1e-10)
+    assert np.allclose(_matrix(lam), np.eye(2), atol=1e-10)
 
 
 @given(
@@ -73,8 +77,8 @@ def test_connection_matrix_regular_at_e_equal_v2():
     geom = Geometry.centered(1.0)
     lam0 = connection_matrix(cfg, geom, cfg.v2)
     lam1 = connection_matrix(cfg, geom, cfg.v2 + 1e-9)
-    assert np.allclose(lam0.as_array(), lam1.as_array(), rtol=1e-6, atol=1e-8)
-    assert np.isfinite(lam0.as_array()).all()
+    assert np.allclose(_matrix(lam0), _matrix(lam1), rtol=1e-6, atol=1e-8)
+    assert np.isfinite(_matrix(lam0)).all()
 
 
 def test_delta_squeeze_limit_of_connection_matrix():
@@ -87,7 +91,7 @@ def test_delta_squeeze_limit_of_connection_matrix():
     for l in (1e-4, 1e-6):
         cfg = PotentialConfig(g / l, g / l, g / l, 1.0)
         lam = connection_matrix(cfg, Geometry.centered(l), 0.3)
-        errs.append(np.max(np.abs(lam.as_array() - target)))
+        errs.append(np.max(np.abs(_matrix(lam) - target)))
     assert errs[0] < 1e-3 and errs[1] < 1e-5
 
 
@@ -374,6 +378,22 @@ def test_batched_solver_matches_per_parity_reference():
         for g, w in zip(got, want):
             # every field equal as a float, not merely close
             assert g == w, (cfg, g, w)
+
+
+def test_scan_residuals_hold_one_form_and_one_mass():
+    # a block of configurations is one unmasked residual form: fig6 at V = 0
+    # sits on plane AB (with v2 = 0), at V = 1 off the planes
+    fig6 = PencilSpec("P2", 1.0, 1.0, -1.0)
+    geom = Geometry.centered(2.0)
+    _ScanResiduals.of([fig6.config(1.0), fig6.config(2.0)], geom)
+    with pytest.raises(ValueError, match="one form"):
+        _ScanResiduals.of([fig6.config(0.0), fig6.config(1.0)], geom)
+    # fig8 keeps v2 = 0, but V = 0 reaches plane A
+    fig8 = PencilSpec("P1", 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="one form"):
+        _ScanResiduals.of([fig8.config(1.0), fig8.config(0.0)], geom)
+    with pytest.raises(ValueError, match="mass"):
+        _ScanResiduals.of([fig6.config(1.0, m=1.0), fig6.config(1.0, m=2.0)], geom)
 
 
 def test_solver_emits_no_warnings():

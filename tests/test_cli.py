@@ -130,6 +130,39 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundstates", "--m", "0"],
+        ["boundstates", "--m", "-1"],
+        ["boundstates", "--l", "0"],
+        ["boundstates", "--x1", "0.3"],  # --x2 missing
+        ["boundstates", "--x2", "0.3"],  # --x1 missing
+        ["boundstates", "--x1", "0.3", "--x2", "0.1"],
+        ["boundstates", "--ngrid", "0"],
+        ["bands", "--v", "1,2,3", "--m", "0"],
+        ["bands", "--v", "1,2,3", "--nk", "0"],
+        ["sweep", "--nv", "0"],
+        ["sweep", "--l", "-2"],
+        ["pointlimit", "--g", "0"],
+        ["pointlimit", "--converge", "--l0", "0"],
+        ["pointlimit", "--converge", "--levels", "0"],
+        ["pointlimit", "--n", "-1"],
+        ["pointlimit", "--n", "3..1"],
+        ["verify", "--cases", "0"],
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    # a one-line usage error and exit code 1, raised by the parser before any
+    # numerics run, not a traceback that exits 1 by accident
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"triband {argv[0]}: error: ")
+
+
 def test_domain_error_exit_code(capsys):
     # E pinned at the k^2 pole: PoleAtVa surfaces as exit code 2
     code = main(

@@ -39,7 +39,8 @@ def boundary_connection_residual(pi, parity, m=1.0):
     target = np.array([-2.0 * e / kap, SQRT2]) if parity == "+" else np.array(
         [2.0 * e / kap, -SQRT2]
     )
-    got = pi.lambda_n.as_array() @ left
+    lam = pi.lambda_n
+    got = np.array([[lam.l11, lam.l12], [lam.l21, lam.l22]]) @ left
     return float(np.max(np.abs(got - target)))
 
 

@@ -7,8 +7,15 @@ def _two_parities(x):
     return np.sin(7.0 * x), np.cos(5.0 * x) - 0.3
 
 
-def _one_parity(k):
-    return lambda x: (_two_parities(x)[k],)
+def _signs(x):
+    # residuals of magnitude 1: a secant polish step never lowers |f|, so
+    # every root stays its bisection midpoint and one bisection more or less
+    # than a family's own count shows in the result
+    return tuple(np.sign(f) for f in _two_parities(x))
+
+
+def _one_parity(k, func=_two_parities):
+    return lambda x: (func(x)[k],)
 
 
 def test_sign_change_rows_match_one_call_per_row():
@@ -43,16 +50,10 @@ def test_joint_refine_equals_one_call_per_family():
     plus = [(k * np.pi / 7.0 - 1e-3, k * np.pi / 7.0 + 2e-3) for k in range(-3, 4)]
     z = np.arccos(0.3) / 5.0
     minus = [(z - 0.2, z + 0.25), (-z - 0.3, -z + 0.1), (1.2, 1.3)]
-    # without polish the roots are the bisection midpoints, so one iteration
-    # more or less than a family's own count would show
-    for polish in (0, 2):
-        got = rootfind.refine_brackets(
-            _two_parities, plus + minus, xtol, [len(plus), len(minus)], polish=polish
-        )
+    for func in (_two_parities, _signs):
+        got = rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
         for k, fam in enumerate((plus, minus)):
-            (alone,) = rootfind.refine_brackets(
-                _one_parity(k), fam, xtol, [len(fam)], polish=polish
-            )
+            (alone,) = rootfind.refine_brackets(_one_parity(k, func), fam, xtol, [len(fam)])
             assert np.array_equal(got[k][0], alone[0])
             assert np.array_equal(got[k][1], alone[1])
     # an empty family gets an empty result, and leaves the others unchanged
@@ -78,13 +79,8 @@ def test_refine_by_pick_equals_one_call_per_family():
     brackets = np.array([b for _, fam in families for b in fam])
     sizes = [len(fam) for _, fam in families]
     pick = np.repeat([k for k, _ in families], sizes)
-    for polish in (0, 2):
-        got = rootfind.refine_brackets(
-            _two_parities, brackets, xtol, sizes, polish=polish, pick=pick
-        )
-        assert len(got) == len(families)
-        for (k, fam), (roots, res) in zip(families, got):
-            (alone,) = rootfind.refine_brackets(
-                _one_parity(k), fam, xtol, [len(fam)], polish=polish
-            )
-            assert np.array_equal(roots, alone[0]) and np.array_equal(res, alone[1])
+    got = rootfind.refine_brackets(_two_parities, brackets, xtol, sizes, pick=pick)
+    assert len(got) == len(families)
+    for (k, fam), (roots, res) in zip(families, got):
+        (alone,) = rootfind.refine_brackets(_one_parity(k), fam, xtol, [len(fam)])
+        assert np.array_equal(roots, alone[0]) and np.array_equal(res, alone[1])

@@ -184,7 +184,7 @@ def test_sweep_branch_linking_two_level_family():
     long_branches = [b for b in spectrum.branches if len(b.states) >= 5]
     assert long_branches
     for br in long_branches:
-        jumps = np.abs(np.diff(br.energies()))
+        jumps = np.abs(np.diff([s.energy for s in br.states]))
         assert np.all(jumps < 0.5)
 
 
@@ -282,8 +282,10 @@ def test_batched_sweep_matches_per_v_solves():
     fig6 = PencilSpec("P2", 1, 1, -1), Geometry.centered(2.0)
     fig6_grid = np.linspace(-12.0, 12.0, 2400)
     cases = [(*fig6, fig6_grid[offset::20]) for offset in (0, 10)]
-    # 61 points put V = 0 on the grid, where fig5 and fig6 reach plane AB
-    # inside a block of generic configurations; fig8 keeps v2 = 0 throughout
+    # 61 points put V = 0 on the grid, where every preset changes residual
+    # form (fig5 and fig6 reach plane AB, the others plane A or v2 = 0), so
+    # V = 0 is a block of its own between two runs of 30 V points; fig8
+    # keeps v2 = 0 throughout
     for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"):
         vertex, alphas, l = SWEEP_PRESETS[name]
         cases.append((PencilSpec(vertex, *alphas), Geometry.centered(l), np.linspace(-12, 12, 61)))
