@@ -45,6 +45,7 @@ from .model import (
     k_squared,
     kappa,
     plane_of,
+    rho,
     sc_kernels,
     sc_ratio,
 )
@@ -154,7 +155,7 @@ def _form(cfg: PotentialConfig):
 def _residuals(e, m, half, v1, v2, v3, va, plane, v2_zero):
     """(plus, minus) scan residuals of one form; strengths scalar or per E."""
     k2 = K2_OF_PLANE[plane](e, v1, v2, v3, va)
-    kap = np.sqrt((m - e) * (m + e))
+    kap = kappa(e, m)
     # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
     # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is evaluated
     # on its own points only: cosh overflows where the ratio is used, and an
@@ -323,15 +324,13 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
     fields = (
         roots,
         kappa(roots, m),
-        np.sqrt((m - roots) / (m + roots)),
+        rho(roots, m),
         res.at(np.repeat(owner, counts)).k2(roots),
         np.abs(np.concatenate([f for _, f in kept])),
     )
     states = [
-        BoundStateSolution(r, "+-"[p], kap, rho, k2, f)
-        for p, r, kap, rho, k2, f in zip(
-            np.repeat(parity, counts).tolist(), *(a.tolist() for a in fields)
-        )
+        BoundStateSolution(e, "+-"[p], *rest)
+        for p, e, *rest in zip(np.repeat(parity, counts).tolist(), *(a.tolist() for a in fields))
     ]
     out, start = [], 0
     for n in np.add(counts[::2], counts[1::2]).tolist():
@@ -424,14 +423,26 @@ def _split_u(u, e, cfg):
 
 
 def _exterior_amplitude(sol, geom):
-    """Common amplitude of the two decaying tails, unit internal amplitude.
-
-    The left tail is d (1/rho, sqrt(2), rho) e^{kappa(x-x1)}; the right tail
-    is d (-1/rho, sqrt(2), -rho) e^{-kappa(x-x2)} for even-psi2 states and
-    d (1/rho, -sqrt(2), rho) e^{-kappa(x-x2)} for odd-psi2 states.
-    """
+    """Amplitude d of both decaying rays (_exterior_ray), unit internal amplitude."""
     s2, c2 = sc_kernels(sol.k2, 0.5 * geom.l)
     return c2 if sol.parity == "+" else sol.k2 * s2
+
+
+# Signs of (psi1, psi2, psi3) on the decaying ray beyond the left edge, and
+# beyond the right edge for even-psi2 ("+") and odd-psi2 ("-") states.
+_RAY_SIGNS = {"left": (1.0, 1.0, 1.0), "+": (-1.0, 1.0, -1.0), "-": (1.0, -1.0, 1.0)}
+
+
+def _exterior_ray(parity, kap, rho, d, dist, right):
+    """(psi1, psi2, psi3) of the decaying ray at distance dist >= 0 beyond an edge.
+
+    The ray is d (1/rho, sqrt(2), rho) e^{-kappa dist} with the signs of
+    _RAY_SIGNS.  Every bound-state wave function has these tails; the point
+    interaction's eigenfunction is the case of both edges at x = 0, d = 1.
+    """
+    s1, s2, s3 = _RAY_SIGNS[parity if right else "left"]
+    env = d * np.exp(-kap * dist)
+    return s1 * (1.0 / rho * env), s2 * (SQRT2 * env), s3 * (rho * env)
 
 
 def eigenfunction(
@@ -444,16 +455,14 @@ def eigenfunction(
     """Sample the bound-state wave function on x_grid.
 
     Interior points use the trigonometric form about the midpoint (continued
-    kernels for imaginary k), exterior points the decaying rays with rate
-    kappa.  normalize is one of two conventions: 'psi2_max' (max |psi2| over
-    the grid equals 1) or 'raw' (unit internal amplitude, the convention
-    shared with boundary_values() and discontinuities()).
+    kernels for imaginary k), exterior points the decaying rays
+    (_exterior_ray).  normalize is one of two conventions: 'psi2_max' (max
+    |psi2| over the grid equals 1) or 'raw' (unit internal amplitude, the
+    convention shared with boundary_values() and discontinuities()).
     """
     _check_solution(sol, cfg, geom)
     e = sol.energy
     x = np.asarray(x_grid, dtype=float)
-    rho = sol.rho
-    rho_inv = 1.0 / rho
     d = _exterior_amplitude(sol, geom)
 
     psi1 = np.empty_like(x)
@@ -467,21 +476,10 @@ def eigenfunction(
         u, v = _interior_uv(sol, cfg, geom, x[inside])
         p1, p3 = _split_u(u, e, cfg)
         psi1[inside], psi2[inside], psi3[inside] = p1, v, p3
-    if np.any(left):
-        env = d * np.exp(sol.kappa * (x[left] - geom.x1))
-        psi1[left] = rho_inv * env
-        psi2[left] = SQRT2 * env
-        psi3[left] = rho * env
-    if np.any(right):
-        env = d * np.exp(-sol.kappa * (x[right] - geom.x2))
-        if sol.parity == "+":
-            psi1[right] = -rho_inv * env
-            psi2[right] = SQRT2 * env
-            psi3[right] = -rho * env
-        else:
-            psi1[right] = rho_inv * env
-            psi2[right] = -SQRT2 * env
-            psi3[right] = rho * env
+    for side, dist, is_right in ((left, geom.x1 - x, False), (right, x - geom.x2, True)):
+        psi1[side], psi2[side], psi3[side] = _exterior_ray(
+            sol.parity, sol.kappa, sol.rho, d, dist[side], is_right
+        )
 
     if normalize == "psi2_max":
         peak = np.max(np.abs(psi2))
@@ -504,13 +502,10 @@ def boundary_values(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometr
     _check_solution(sol, cfg, geom)
     e = sol.energy
     d = _exterior_amplitude(sol, geom)
-    rho, rho_inv = sol.rho, 1.0 / sol.rho
     out = {}
-    out["x1-"] = (d * rho_inv, d * SQRT2, d * rho)
-    if sol.parity == "+":
-        out["x2+"] = (-d * rho_inv, d * SQRT2, -d * rho)
-    else:
-        out["x2+"] = (d * rho_inv, -d * SQRT2, d * rho)
+    for key, is_right in (("x1-", False), ("x2+", True)):
+        ray = _exterior_ray(sol.parity, sol.kappa, sol.rho, d, 0.0, is_right)
+        out[key] = tuple(float(p) for p in ray)
     for key, xx in (("x1+", geom.x1), ("x2-", geom.x2)):
         u, v = _interior_uv(sol, cfg, geom, np.asarray(xx))
         p1, p3 = _split_u(float(u), e, cfg)
@@ -534,12 +529,8 @@ def discontinuities(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometr
     # mu = m - E(v1 - v3)/(2E - v1 - v3), combined over the common denominator
     # so that the v11 = v33 = 0 case cancels exactly
     mu = (-m * (cfg.v11 + cfg.v33) - e * (cfg.v11 - cfg.v33)) / denom
-    s2, c2 = sc_kernels(sol.k2, 0.5 * geom.l)
-    if sol.parity == "+":
-        d = mu * c2 / sol.kappa
-        return float(d), float(d)
-    d = mu * sol.k2 * s2 / sol.kappa
-    return float(d), float(-d)
+    d = mu * _exterior_amplitude(sol, geom) / sol.kappa
+    return float(d), float(d if sol.parity == "+" else -d)
 
 
 def current(sample: WaveFunctionSample) -> float:

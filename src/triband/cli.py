@@ -100,24 +100,26 @@ def _index_range(text: str):
     return levels
 
 
-def _manifest(args, extra=None):
+def _write_manifests(args, record):
+    """A <file>.manifest.json beside every file the command wrote: the command,
+    version and parameters, plus the command's own record."""
     payload = {
         "command": args.command,
         "version": __version__,
         "parameters": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("command", "func")
         },
+        **record,
     }
-    if extra:
-        payload.update(extra)
-    return payload
+    for path in (getattr(args, "out", None), getattr(args, "wavefunction", None)):
+        if path and path != "-":
+            io_utils.write_manifest(path + ".manifest.json", payload)
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args):
     m = args.m
     cfg = PotentialConfig(args.v[0] / m, args.v[1] / m, args.v[2] / m, 1.0)
     ks = np.linspace(-args.kmax, args.kmax, args.nk)
-    t0 = time.perf_counter()
     result = band_sweep(cfg, ks)
     rows = [
         (tr.k, tr.e_minus, tr.e_mid, tr.e_plus, result.panel) for tr in result.triples
@@ -128,22 +130,17 @@ def cmd_bands(args) -> int:
         f"panel {result.panel}; on_A={flat.on_a} on_B={flat.on_b} "
         f"flat_energy={io_utils.fmt(flat.flat_energy)}\n"
     )
-    if args.out and args.out != "-":
-        io_utils.write_manifest(
-            args.out + ".manifest.json",
-            _manifest(args, {"panel": result.panel, "elapsed_s": time.perf_counter() - t0}),
-        )
-    return 0
+    return 0, {"panel": result.panel}
 
 
-def cmd_flat(args) -> int:
+def cmd_flat(args):
     m = args.m
     cfg = PotentialConfig(args.v11 / m, args.v22 / m, args.v33 / m, 1.0)
     flat = classify_flat(cfg)
     print(f"on_A={str(flat.on_a).lower()}")
     print(f"on_B={str(flat.on_b).lower()}")
     print(f"flat_energy={io_utils.fmt(flat.flat_energy)}")
-    return 0
+    return 0, {}
 
 
 def _geometry(args) -> Geometry:
@@ -152,7 +149,7 @@ def _geometry(args) -> Geometry:
     return Geometry.centered(args.l * args.m)
 
 
-def cmd_boundstates(args) -> int:
+def cmd_boundstates(args):
     m = args.m
     if args.preset == "fig3":
         cfg = PotentialConfig(3.0, 3.0, 3.0, 1.0)
@@ -160,7 +157,6 @@ def cmd_boundstates(args) -> int:
     else:
         cfg = PotentialConfig(args.v[0] / m, args.v[1] / m, args.v[2] / m, 1.0)
         geom = _geometry(args)
-    t0 = time.perf_counter()
     sols = find_bound_states(cfg, geom, n_grid=args.ngrid)
     rows = [(s.parity, s.energy, s.kappa, s.residual) for s in sols]
     io_utils.write_csv(args.out, ["parity", "E_b", "kappa", "residual"], rows)
@@ -174,23 +170,17 @@ def cmd_boundstates(args) -> int:
         io_utils.write_csv(
             args.wavefunction, ["parity", "E_b", "x", "psi1", "psi2", "psi3"], wrows
         )
-    if args.out and args.out != "-":
-        io_utils.write_manifest(
-            args.out + ".manifest.json",
-            _manifest(args, {"n_states": len(sols), "elapsed_s": time.perf_counter() - t0}),
-        )
-    return 0
+    return 0, {"n_states": len(sols)}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if args.preset:
         vertex, alphas, l = SWEEP_PRESETS[args.preset]
     else:
         vertex, alphas, l = args.vertex, args.alphas, args.l * args.m
     pencil = PencilSpec(vertex, *alphas)
     geom = Geometry.centered(l)
-    v_grid = np.linspace(args.vmin, args.vmax, args.nv)
-    t0 = time.perf_counter()
+    v_grid = np.linspace(args.vmin, args.vmax, args.nv) / args.m
     spectrum = sweep(pencil, geom, v_grid, n_grid=args.ngrid)
     rows = []
     for bi, br in enumerate(spectrum.branches):
@@ -204,21 +194,12 @@ def cmd_sweep(args) -> int:
         row_format="{:.12g},{},{:.12g},{},{}\r\n",
     )
     stype = classify(pencil)
-    if args.out and args.out != "-":
-        io_utils.write_manifest(
-            args.out + ".manifest.json",
-            _manifest(
-                args,
-                {
-                    "pencil": {"vertex": vertex, "alphas": list(alphas), "l": l},
-                    "spectrum_type": stype.tag,
-                    "beta": stype.beta,
-                    "events": [list(e) for e in spectrum.events],
-                    "elapsed_s": time.perf_counter() - t0,
-                },
-            ),
-        )
-    return 0
+    return 0, {
+        "pencil": {"vertex": vertex, "alphas": list(alphas), "l": l},
+        "spectrum_type": stype.tag,
+        "beta": stype.beta,
+        "events": [list(e) for e in spectrum.events],
+    }
 
 
 def _table1_rows():
@@ -261,11 +242,11 @@ def _table1_rows():
     return out
 
 
-def cmd_pointlimit(args) -> int:
+def cmd_pointlimit(args):
     if args.preset == "table1":
-        payload = {"entries": _table1_rows()}
-        io_utils.write_manifest(args.out or "table1.json", payload)
-        return 0
+        args.out = args.out or "table1.json"  # the table has no stdout form
+        io_utils.write_manifest(args.out, {"entries": _table1_rows()})
+        return 0, {}
     if args.preset == "fig10":
         pencil = PencilSpec(SET_PENCILS["P"][0], *SET_PENCILS["P"][1])
         law = SqueezeLaw("delta", np.pi / 2.0)
@@ -276,7 +257,7 @@ def cmd_pointlimit(args) -> int:
             for smp in squeezed_eigenfunction(pencil, law, parity=par, x_grid=x):
                 rows.append((par, e, smp.x, smp.psi1, smp.psi2, smp.psi3))
         io_utils.write_csv(args.out, ["parity", "E_b", "x", "psi1", "psi2", "psi3"], rows)
-        return 0
+        return 0, {}
     if args.preset == "fig11":
         pencil = PencilSpec(SET_PENCILS["H2"][0], *SET_PENCILS["H2"][1])
         law = SqueezeLaw("inv_square", 2.0)
@@ -287,7 +268,7 @@ def cmd_pointlimit(args) -> int:
             for smp in squeezed_eigenfunction(pencil, law, n=n, x_grid=x):
                 rows.append((n, e, smp.x, smp.psi1, smp.psi2, smp.psi3))
         io_utils.write_csv(args.out, ["n", "E_n", "x", "psi1", "psi2", "psi3"], rows)
-        return 0
+        return 0, {}
 
     vertex, alphas = SET_PENCILS[args.set]
     pencil = PencilSpec(vertex, *alphas)
@@ -301,7 +282,7 @@ def cmd_pointlimit(args) -> int:
             ):
                 rows.append((n, row.l, row.v, row.e_b, row.error, row.order))
         io_utils.write_csv(args.out, ["n", "l", "V", "E_b", "error", "order"], rows)
-        return 0
+        return 0, {}
     for n in args.n:
         e = limit_energy(pencil, law, n=n, parity=args.parity)
         if e is None:
@@ -311,10 +292,10 @@ def cmd_pointlimit(args) -> int:
         lam = pi.lambda_n
         rows.append((n, e, lam.l11, lam.l12, lam.l21, lam.l22))
     io_utils.write_csv(args.out, ["n", "E_n", "l11", "l12", "l21", "l22"], rows)
-    return 0
+    return 0, {}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     ok = True
     for name, fn in checks(seed=args.seed, cases=args.cases):
         t0 = time.perf_counter()
@@ -322,7 +303,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}: {detail} ({time.perf_counter() - t0:.1f} s)", flush=True)
         ok = ok and passed
-    return 0 if ok else 3
+    return (0 if ok else 3), {}
 
 
 def build_parser() -> _Parser:
@@ -394,11 +375,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        # (exit code, the command's part of the manifest of each file it wrote)
+        code, record = args.func(args)
     except DomainError as exc:
         sys.stderr.write(f"numerical domain error: {exc}\n")
         return 2
+    _write_manifests(args, {**record, "elapsed_s": time.perf_counter() - t0})
+    return code
 
 
 if __name__ == "__main__":

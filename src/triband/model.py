@@ -10,11 +10,12 @@ the renormalized strengths
 
 and the scalar kernels defined here: the dispersion k^2(E) with
 W(E) = k^2/(E - v2), one expression each per flat-band plane (`dispersion`),
-the exterior decay rate kappa, and the trigonometric kernels
-s(w, t) = sin(sqrt(w) t)/sqrt(w), c(w, t) = cos(sqrt(w) t) which are
-analytically continued to w < 0 (imaginary wave number) via sinh/cosh.  Using
-(s, c) of the real variable w = k^2 keeps every residual real-analytic in E,
-so no branch bookkeeping for imaginary k is needed anywhere.
+the exterior decay rate kappa and component ratio rho of the decaying ray,
+and the trigonometric kernels s(w, t) = sin(sqrt(w) t)/sqrt(w),
+c(w, t) = cos(sqrt(w) t), which are analytically continued to w < 0
+(imaginary wave number) via sinh/cosh.  Using (s, c) of the real variable
+w = k^2 keeps every residual real-analytic in E, so no branch bookkeeping for
+imaginary k is needed anywhere.
 
 Energies are in units of the mass gap m (m = 1.0 by default), lengths in 1/m.
 All functions are pure and stateless.
@@ -168,6 +169,12 @@ class Geometry:
 def kappa(e, m=1.0):
     """Exterior decay rate sqrt(m^2 - E^2); elementwise."""
     return np.sqrt((m - e) * (m + e))
+
+
+def rho(e, m=1.0):
+    """Component ratio sqrt((m - E)/(m + E)) of the decaying exterior ray,
+    which is proportional to (1/rho, sqrt(2), rho); elementwise."""
+    return np.sqrt((m - e) / (m + e))
 
 
 # --- trigonometric kernels ---------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 from .boundstates import (
     ConnectionMatrix,
     WaveFunctionSample,
+    _exterior_ray,
     find_bound_states,
 )
 from .model import (
@@ -39,6 +40,8 @@ from .model import (
     OutOfValidityWindow,
     TypeMismatch,
     UnsupportedCombination,
+    kappa,
+    rho,
     sc_kernels,
 )
 from .spectra import PencilSpec, classify, one_point_energy
@@ -167,34 +170,31 @@ def convergence_study(
     l_sequence=(),
     parity: str | None = None,
     m: float = 1.0,
-    capture_radius: float | None = None,
-    n_grid: int = 4000,
 ) -> list[ConvergenceRow]:
     """Finite-width energies against the limit value over a decreasing l list.
 
     For every l the solver runs at V = V(l); the state nearest the limit
     energy (with matching parity) within the capture radius continues the
-    branch.  The default radius is 0.2 times the distance to the nearest
-    other limit level of the same family, or 0.1 m when there is none.
+    branch.  The radius is 0.2 times the distance to the nearest other limit
+    level of the same family, or 0.1 m when there is none.
     """
     e_limit = limit_energy(pencil, law, n=n, parity=parity, m=m)
     if e_limit is None:
         raise UnsupportedCombination("no limit level to converge to")
     tag = classify(pencil).tag
     want_parity = parity if tag in ("P", "D") else level_parity(tag, n)
-    if capture_radius is None:
-        gaps = []
-        if tag not in ("P", "D"):  # ladder families: look at neighboring levels
-            for other in (n - 1, n + 1):
-                if other < 0:
-                    continue
-                try:
-                    e_o = limit_energy(pencil, law, n=other, parity=parity, m=m)
-                except (OutOfValidityWindow, UnsupportedCombination, TypeMismatch):
-                    continue
-                if e_o is not None:
-                    gaps.append(abs(e_o - e_limit))
-        capture_radius = 0.2 * min(gaps) if gaps else 0.1 * m
+    gaps = []
+    if tag not in ("P", "D"):  # ladder families: look at neighboring levels
+        for other in (n - 1, n + 1):
+            if other < 0:
+                continue
+            try:
+                e_o = limit_energy(pencil, law, n=other, parity=parity, m=m)
+            except (OutOfValidityWindow, UnsupportedCombination, TypeMismatch):
+                continue
+            if e_o is not None:
+                gaps.append(abs(e_o - e_limit))
+    capture_radius = 0.2 * min(gaps) if gaps else 0.1 * m
     rows: list[ConvergenceRow] = []
     prev_err = None
     prev_l = None
@@ -204,7 +204,7 @@ def convergence_study(
         geom = Geometry.centered(l)
         states = [
             s
-            for s in find_bound_states(cfg, geom, n_grid=n_grid)
+            for s in find_bound_states(cfg, geom)
             if s.parity == want_parity and abs(s.energy - e_limit) <= capture_radius
         ]
         if not states:
@@ -231,26 +231,18 @@ def squeezed_eigenfunction(
 ) -> list[WaveFunctionSample]:
     """Two-sided exponential eigenfunction of the point interaction.
 
-    Components are (1/rho, +-sqrt(2), +-rho) e^{-kappa |x|} per side; the '+'
-    states flip the outer components across the origin, the '-' states flip
-    psi2.
+    The zero-width limit of the rectangle's wave function: its decaying rays
+    (boundstates._exterior_ray) with both edges at x = 0 and unit amplitude,
+    so (1/rho, +-sqrt(2), +-rho) e^{-kappa |x|} on each side.
     """
     e = limit_energy(pencil, law, n=n, parity=parity, m=m)
     if e is None:
         raise UnsupportedCombination("no bound state in this limit")
     tag = classify(pencil).tag
     par = parity if tag in ("P", "D") else level_parity(tag, n)
-    kap = np.sqrt((m - e) * (m + e))
-    rho = np.sqrt((m - e) / (m + e))
     x = np.asarray(x_grid, dtype=float)
-    env = np.exp(-kap * np.abs(x))
     right = x > 0
-    out = []
-    for xx, ev, rt in zip(x, env, right):
-        if par == "+":
-            s = -1.0 if rt else 1.0
-            out.append(WaveFunctionSample(float(xx), s * ev / rho, SQRT2 * ev, s * ev * rho))
-        else:
-            s = -1.0 if rt else 1.0
-            out.append(WaveFunctionSample(float(xx), ev / rho, s * SQRT2 * ev, ev * rho))
-    return out
+    psi = np.empty((3, x.size))
+    for side, is_right in ((~right, False), (right, True)):
+        psi[:, side] = _exterior_ray(par, kappa(e, m), rho(e, m), 1.0, np.abs(x[side]), is_right)
+    return [WaveFunctionSample(*map(float, row)) for row in zip(x, *psi)]

@@ -23,6 +23,16 @@ from .model import Geometry, PoleAtVa, PotentialConfig
 from .pointlimits import SqueezeLaw
 from .spectra import PencilSpec
 
+# check_unit_determinant: random draws and the bound on the scaled |det - 1|
+DETERMINANT_SEED = 42
+DETERMINANT_SAMPLES = 10000
+DETERMINANT_TOL = 1e-12
+# bounds of the wave-function checks on the solved examples
+PARITY_TOL = 1e-10
+CURRENT_TOL = 1e-12
+JUMP_TOL = 1e-9
+OUTER_JUMP_TOL = 1e-10
+
 
 def random_configs(seed: int, cases: int, strength: float = 5.0, m: float = 1.0):
     """The seeded random (config, geometry) suite used by the cross-checks."""
@@ -73,11 +83,11 @@ def check_oracle_agreement(seed=42, cases=20, atol=1e-8):
     return True, f"{cases} configurations agree, worst |dE| = {worst:.3g}"
 
 
-def check_unit_determinant(seed=42, samples=10000, tol=1e-12):
-    rng = np.random.default_rng(seed)
+def check_unit_determinant():
+    rng = np.random.default_rng(DETERMINANT_SEED)
     worst = 0.0
     n = 0
-    while n < samples:
+    while n < DETERMINANT_SAMPLES:
         v = rng.uniform(-5, 5, size=3)
         l = rng.uniform(0.05, 4.0)
         e = rng.uniform(-0.999, 0.999)
@@ -93,7 +103,10 @@ def check_unit_determinant(seed=42, samples=10000, tol=1e-12):
         scale = max(1.0, lam.l11 * lam.l11, abs(lam.l12 * lam.l21))
         worst = max(worst, abs(lam.det - 1.0) / scale)
         n += 1
-    return worst < tol, f"max |det - 1| (scaled) = {worst:.3g} over {samples} samples"
+    return (
+        worst < DETERMINANT_TOL,
+        f"max |det - 1| (scaled) = {worst:.3g} over {DETERMINANT_SAMPLES} samples",
+    )
 
 
 def _solved_examples():
@@ -116,7 +129,7 @@ def _solved_examples():
     return out
 
 
-def check_parity_symmetry(tol=1e-10):
+def check_parity_symmetry():
     worst = 0.0
     for cfg, geom, sol in _solved_examples():
         # grid exactly antisymmetric about the midpoint: index i mirrors n-1-i
@@ -139,10 +152,10 @@ def check_parity_symmetry(tol=1e-10):
                     abs(s.psi3 - mirror.psi3),
                 )
             worst = max(worst, err)
-    return worst < tol, f"max parity asymmetry = {worst:.3g}"
+    return worst < PARITY_TOL, f"max parity asymmetry = {worst:.3g}"
 
 
-def check_current(tol=1e-12):
+def check_current():
     worst = 0.0
     for cfg, geom, sol in _solved_examples():
         x = np.linspace(geom.x1 - geom.l, geom.x2 + geom.l, 101)
@@ -153,10 +166,10 @@ def check_current(tol=1e-12):
             jl = current(boundstates.WaveFunctionSample(0.0, *bv[side + "-"]))
             jr = current(boundstates.WaveFunctionSample(0.0, *bv[side + "+"]))
             worst = max(worst, abs(jl - jr))
-    return worst < tol, f"max |j| = {worst:.3g}"
+    return worst < CURRENT_TOL, f"max |j| = {worst:.3g}"
 
 
-def check_discontinuities(tol=1e-9):
+def check_discontinuities():
     worst = 0.0
     for cfg, geom, sol in _solved_examples():
         try:
@@ -167,10 +180,10 @@ def check_discontinuities(tol=1e-9):
         for j in (0, 2):  # psi1 and psi3 jump identically
             worst = max(worst, abs((bv["x1-"][j] - bv["x1+"][j]) - d1))
             worst = max(worst, abs((bv["x2-"][j] - bv["x2+"][j]) - d2))
-    return worst < tol, f"max |closed-form jump - sampled jump| = {worst:.3g}"
+    return worst < JUMP_TOL, f"max |closed-form jump - sampled jump| = {worst:.3g}"
 
 
-def check_outer_continuity(tol=1e-10):
+def check_outer_continuity():
     """v11 = v33 = 0 makes psi1 and psi3 continuous at both edges."""
     worst = 0.0
     for v22, l in ((10.0, 2.0), (-6.0, 1.3)):
@@ -182,7 +195,7 @@ def check_outer_continuity(tol=1e-10):
             for j in (0, 2):
                 worst = max(worst, abs(bv["x1-"][j] - bv["x1+"][j]))
                 worst = max(worst, abs(bv["x2-"][j] - bv["x2+"][j]))
-    return worst < tol, f"max outer-component jump = {worst:.3g}"
+    return worst < OUTER_JUMP_TOL, f"max outer-component jump = {worst:.3g}"
 
 
 def check_type_three_squeeze():

@@ -124,6 +124,50 @@ def test_pointlimit_fig_presets(tmp_path):
     assert {r.split(",")[0] for r in rows} == {"0", "1", "2", "3"}
 
 
+def test_sweep_rescales_strengths_like_boundstates(tmp_path):
+    # --m 2 makes V = 1 the strength 0.5 m: the sweep point and the one
+    # rectangle are the same physical input and hold the same levels
+    sw, bs = tmp_path / "sw.csv", tmp_path / "bs.csv"
+    common = ["--l", "2", "--m", "2", "--out"]
+    sweep_args = ["--vertex", "P1", "--alphas", "0,1,0", "--vmin", "1", "--vmax", "1", "--nv", "1"]
+    assert main(["sweep", *sweep_args, *common, str(sw)]) == 0
+    assert main(["boundstates", "--v", "0,1,0", *common, str(bs)]) == 0
+
+    def column(path, name):
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index(name)
+        return [float(line.split(",")[col]) for line in lines[1:]]
+
+    assert set(column(sw, "V")) == {0.5}
+    assert len(column(bs, "E_b")) >= 2
+    assert column(sw, "E_b") == column(bs, "E_b")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bands", "--v", "1,2,3", "--nk", "5"],
+        ["boundstates", "--preset", "fig3", "--nx", "5", "--wavefunction", "{dir}/wf.csv"],
+        ["sweep", "--preset", "fig6", "--vmin", "2", "--vmax", "3", "--nv", "2"],
+        ["pointlimit", "--family", "l2", "--set", "H2", "--g", "2", "--n", "0..1"],
+        ["pointlimit", "--set", "H2", "--g", "2", "--converge", "--levels", "2"],
+        ["pointlimit", "--preset", "fig10", "--nx", "8"],
+        ["pointlimit", "--preset", "fig11", "--nx", "8"],
+        ["pointlimit", "--preset", "table1"],
+    ],
+    ids=["bands", "boundstates", "sweep", "ladder", "converge", "fig10", "fig11", "table1"],
+)
+def test_every_file_output_gets_a_manifest(argv, tmp_path):
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    outputs = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json"))
+    assert outputs
+    for name in outputs:
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"]["out"] == str(tmp_path / "out")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bands"])  # missing required --v

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triband.boundstates import general_bound_condition
+from triband.boundstates import eigenfunction, find_bound_states, general_bound_condition
 from triband.model import (
     SQRT2,
     Geometry,
@@ -275,3 +275,34 @@ def test_squeezed_eigenfunction_shapes():
     xs = [s.x for s in minus if s.x > 0]
     slopes = np.diff(np.log(mag)) / np.diff(xs)
     assert np.max(np.abs(slopes + kap)) < 1e-9
+
+
+def _psi_over_psi2_at_minus_one(samples):
+    """(psi1, psi2, psi3) rows divided by psi2 of the first sample, at x = -1."""
+    psi = np.array([[s.psi1, s.psi2, s.psi3] for s in samples])
+    return psi / psi[0, 1]
+
+
+@pytest.mark.parametrize(
+    "pencil, law, level",
+    [
+        (H2, SqueezeLaw("delta", 2.0), {"n": 0}),
+        (P_PENCIL, SqueezeLaw("delta", np.pi / 2), {"parity": "+"}),
+    ],
+    ids=["H2-delta-n0", "P-delta-plus"],
+)
+def test_finite_width_eigenfunction_tends_to_squeezed(pencil, law, level):
+    # The squeezed eigenfunction is the l = 0 case of the rectangle's: on
+    # 0.5 <= |x| <= 3, both scaled to psi2(-1) = 1, the largest difference
+    # shrinks at first order in l.  A wrong parity sign or a wrong rho on
+    # either side leaves an O(1) difference.
+    x = np.concatenate([[-1.0], np.linspace(-3.0, -0.5, 26), np.linspace(0.5, 3.0, 26)])
+    limit = _psi_over_psi2_at_minus_one(squeezed_eigenfunction(pencil, law, x_grid=x, **level))
+    diffs = []
+    for row in convergence_study(pencil, law, l_sequence=[1e-2, 1e-3], **level):
+        cfg, geom = pencil.config(row.v), Geometry.centered(row.l)
+        sol = next(s for s in find_bound_states(cfg, geom) if s.energy == row.e_b)
+        finite = _psi_over_psi2_at_minus_one(eigenfunction(sol, cfg, geom, x, normalize="raw"))
+        diffs.append(np.max(np.abs(finite - limit)[1:]))
+    assert diffs[1] < 1e-3
+    assert diffs[1] < diffs[0] / 5.0  # ~first order: l shrinks tenfold
