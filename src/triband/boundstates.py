@@ -50,12 +50,12 @@ from .model import (
     sc_ratio,
 )
 
-# Scan-window half-widths (in units of m) around the residual poles at E = 0
-# and E = va, and the margin kept from the gap edges +-m where kappa -> 0.
+# Scan-window half-widths around the residual poles at E = 0 and E = va, and
+# the margin kept from the gap edges +-1 where kappa -> 0.
 ZERO_WINDOW = 1e-7
 VA_WINDOW = 1e-7
 EDGE_MARGIN = 1e-9
-# Bisection convergence for bound-state energies, relative to m.
+# Bisection convergence for bound-state energies.
 ROOT_XTOL = 1e-12
 
 
@@ -98,7 +98,7 @@ def connection_matrix(cfg: PotentialConfig, geom: Geometry, e: float) -> Connect
     plane, k2_of, w_of = dispersion(cfg)
     # W has its pole at va off the plane v2 = va; on it the guard sits at v2
     pole = cfg.va if plane == "generic" else cfg.v2
-    tol = POLE_RTOL * max(cfg.m, abs(pole))
+    tol = POLE_RTOL * max(1.0, abs(pole))
     if abs(e - pole) < tol:
         raise PoleAtVa(f"connection matrix singular at E = {pole}")
     k2 = k2_of(e)
@@ -112,18 +112,18 @@ def connection_matrix(cfg: PotentialConfig, geom: Geometry, e: float) -> Connect
     )
 
 
-def general_bound_condition(lam: ConnectionMatrix, e: float, m: float = 1.0) -> float:
+def general_bound_condition(lam: ConnectionMatrix, e: float) -> float:
     """Left side of l11 + l22 + (kappa/sqrt(2)E) l12 + (sqrt(2)E/kappa) l21.
 
     A zero crossing marks a bound state for any interior profile described by
     the connection matrix, not just the rectangle.
     """
-    if abs(e) >= m:
+    if abs(e) >= 1.0:
         raise GapEdge(f"E = {e} outside the open gap")
-    kap = kappa(e, m)
-    if kap < 1e-12 * m:
+    kap = kappa(e)
+    if kap < 1e-12:
         raise GapEdge("kappa below tolerance at the gap edge")
-    if abs(e) < 1e-12 * m:
+    if abs(e) < 1e-12:
         raise ZeroEnergyPole("general bound condition has a 1/E term")
     return float(lam.l11 + lam.l22 + kap / (SQRT2 * e) * lam.l12 + SQRT2 * e / kap * lam.l21)
 
@@ -137,12 +137,11 @@ def split_residuals(cfg: PotentialConfig, geom: Geometry, e: float):
     Zeros of r_plus are the E+ levels, zeros of r_minus the E- levels (plus a
     structural zero of r_minus at E = v2 whenever k^2 vanishes there).
     """
-    m = cfg.m
-    if abs(e) < 1e-12 * m:
+    if abs(e) < 1e-12:
         raise ZeroEnergyPole("split residuals carry a 1/E factor")
     k2 = k_squared(cfg, e)  # raises PoleAtVa off the plane
     s2, c2 = sc_kernels(k2, 0.5 * geom.l)
-    kap = kappa(e, m)
+    kap = kappa(e)
     fac = kap * (1.0 - cfg.v2 / e)
     return float(fac * s2 + c2), float(fac * c2 - k2 * s2)
 
@@ -152,10 +151,10 @@ def _form(cfg: PotentialConfig):
     return plane_of(cfg), bool(abs(cfg.v2) <= 1e-14 * cfg.scale())
 
 
-def _residuals(e, m, half, v1, v2, v3, va, plane, v2_zero):
+def _residuals(e, half, v1, v2, v3, va, plane, v2_zero):
     """(plus, minus) scan residuals of one form; strengths scalar or per E."""
     k2 = K2_OF_PLANE[plane](e, v1, v2, v3, va)
-    kap = kappa(e, m)
+    kap = kappa(e)
     # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
     # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is evaluated
     # on its own points only: cosh overflows where the ratio is used, and an
@@ -187,31 +186,29 @@ class _ScanResiduals:
     both(E) returns (plus, minus): plus has the zeros of the E+ family, minus
     those of the E- family.  Both are smooth on the gap minus the va pole
     (off-plane) and bounded in the imaginary-k region.  The configurations
-    share m, l and the residual form (_form: plane and v2 = 0), so every call
+    share l and the residual form (_form: plane and v2 = 0), so every call
     is one unmasked evaluation of that form.  at(i) holds the strengths of
     configuration i; at(idx) with an index array holds one configuration per
     abscissa, so one call scores E values of many configurations, each with
     the floats its own call returns.
     """
 
-    def __init__(self, m: float, half: float, v, form):
-        self.m, self.half, self.v, self.form = m, half, v, form
+    def __init__(self, half: float, v, form):
+        self.half, self.v, self.form = half, v, form
         # the call's arguments, built once: v holds rows v1, v2, v3, va with
         # one column per configuration (or per abscissa)
-        self.args = (m, half, *v, *form)
+        self.args = (half, *v, *form)
 
     @classmethod
     def of(cls, cfgs, geom: Geometry):
-        if len({cfg.m for cfg in cfgs}) != 1:
-            raise ValueError("configurations of one block must share the mass m")
         forms = {_form(cfg) for cfg in cfgs}
         if len(forms) != 1:
             raise ValueError(f"configurations of one block must share one form, got {forms}")
         v = np.array([(cfg.v1, cfg.v2, cfg.v3, cfg.va) for cfg in cfgs]).T
-        return cls(cfgs[0].m, 0.5 * geom.l, v, forms.pop())
+        return cls(0.5 * geom.l, v, forms.pop())
 
     def at(self, idx):
-        return _ScanResiduals(self.m, self.half, self.v[:, idx], self.form)
+        return _ScanResiduals(self.half, self.v[:, idx], self.form)
 
     def both(self, e):
         return _residuals(np.asarray(e, dtype=float), *self.args)
@@ -224,13 +221,12 @@ def scan_segments(cfg: PotentialConfig, extra_exclusions=()):
     """The gap minus the guard windows and extra_exclusions, as (lo, hi) segments.
 
     The guard windows surround the residual poles at E = 0 and E = va (when
-    va is in the gap); the gap edges +-m are kept EDGE_MARGIN away.
+    va is in the gap); the gap edges +-1 are kept EDGE_MARGIN away.
     """
-    m = cfg.m
-    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
-    if abs(cfg.va) < m:
-        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
+    lo, hi = -1.0 + EDGE_MARGIN, 1.0 - EDGE_MARGIN
+    windows = [(-ZERO_WINDOW, ZERO_WINDOW)]
+    if abs(cfg.va) < 1.0:
+        windows.append((cfg.va - VA_WINDOW, cfg.va + VA_WINDOW))
     windows.extend(extra_exclusions)
     return rootfind.subtract_windows(lo, hi, windows)
 
@@ -297,7 +293,6 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
     solve on its own.
     """
     res = _ScanResiduals.of(cfgs, geom)
-    m = res.m
     families = [
         fam
         for i, cfg in enumerate(cfgs)
@@ -309,22 +304,22 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
     refined = rootfind.refine_brackets(
         res.at(np.repeat(owner, sizes)).both,
         np.concatenate(families),
-        xtol=ROOT_XTOL * m,
+        xtol=ROOT_XTOL,
         families=sizes,
         pick=np.repeat(parity, sizes),
     )
-    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
+    lo, hi = -1.0 + EDGE_MARGIN, 1.0 - EDGE_MARGIN
     kept = []
     for roots, fr in refined:
-        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
+        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL)
         keep = (lo < roots) & (roots < hi)
         kept.append((roots[keep], fr[keep]))
     counts = [roots.size for roots, _ in kept]
     roots = np.concatenate([r for r, _ in kept])
     fields = (
         roots,
-        kappa(roots, m),
-        rho(roots, m),
+        kappa(roots),
+        rho(roots),
         res.at(np.repeat(owner, counts)).k2(roots),
         np.abs(np.concatenate([f for _, f in kept])),
     )
@@ -350,7 +345,7 @@ def find_bound_states(
     Scans the gap minus guard windows around E = 0, E = va and the edges,
     brackets sign changes of the two family residuals on an adaptively refined
     grid, converges each bracket by bisection plus secant polish to
-    |dE| < 1e-12 m, deduplicates and tags each root with its parity.  Both
+    |dE| < 1e-12, deduplicates and tags each root with its parity.  Both
     parities share every residual call, so a solve costs a fixed number of
     calls (about 35) whatever the number of levels.  extra_exclusions is a
     list of (lo, hi) intervals left out of the scan (used by cross-validation
@@ -365,7 +360,7 @@ def find_bound_states(
 
 
 def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = 4000):
-    """find_bound_states of each configuration (sharing geom and m), float for float.
+    """find_bound_states of each configuration (sharing geom), float for float.
 
     Configurations are solved BLOCK_SIZE at a time: each is scanned on its
     own, and the brackets of a block, one family per (configuration,
@@ -388,7 +383,7 @@ def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = 4000):
 
 
 def _check_solution(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
-    if not abs(sol.energy) < cfg.m:
+    if not abs(sol.energy) < 1.0:
         raise OutOfDomainSolution(f"E = {sol.energy} outside the gap")
     both = _ScanResiduals.of([cfg], geom).at(0).both(np.asarray([sol.energy]))
     r = float(np.abs(both["+-".index(sol.parity)][0]))
@@ -518,17 +513,17 @@ def discontinuities(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometr
 
     Returns (delta_at_x1, delta_at_x2), each being psi_j(x-0) - psi_j(x+0)
     for j = 1, 3 (both components jump by the same amount).  The factor
-    mu = m - E (v1 - v3)/(2E - v1 - v3) vanishes identically when
+    mu = 1 - E (v1 - v3)/(2E - v1 - v3) vanishes identically when
     v11 = v33 = 0, making psi1 and psi3 continuous in that case.
     """
     _check_solution(sol, cfg, geom)
-    e, m = sol.energy, cfg.m
+    e = sol.energy
     denom = 2.0 * e - cfg.v1 - cfg.v3
     if abs(denom) < 1e-12 * cfg.scale():
         raise MuPole("mu singular at 2E = v1 + v3")
-    # mu = m - E(v1 - v3)/(2E - v1 - v3), combined over the common denominator
+    # mu = 1 - E(v1 - v3)/(2E - v1 - v3), combined over the common denominator
     # so that the v11 = v33 = 0 case cancels exactly
-    mu = (-m * (cfg.v11 + cfg.v33) - e * (cfg.v11 - cfg.v33)) / denom
+    mu = (-(cfg.v11 + cfg.v33) - e * (cfg.v11 - cfg.v33)) / denom
     d = mu * _exterior_amplitude(sol, geom) / sol.kappa
     return float(d), float(d if sol.parity == "+" else -d)
 

@@ -1,10 +1,10 @@
 """Command-line front end: band sweeps, bound states, strength sweeps,
 point-interaction limits and the self-verification suite.
 
-Energies are always exported in units of the mass m and lengths in 1/m; an
-explicit --m rescales the inputs accordingly.  Every file output gets a JSON
-manifest sidecar recording the run parameters.  Exit codes: 0 ok, 1 usage,
-2 numerical-domain error, 3 verification failure.
+The library computes with m = 1, and --m is the one rescaling: strengths are
+divided by m and widths multiplied by it, E(m; V, l) = m E(1; V/m, m l).  A
+preset is a set of flag defaults.  Every file output gets a JSON manifest
+sidecar.  Exit codes: 0 ok, 1 usage, 2 numerical domain, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -41,14 +41,19 @@ SET_PENCILS = {
     "W2": ("P1", (2.0, 1.0, 0.0)),
 }
 
-SWEEP_PRESETS = {
-    "fig4": ("P1", (1.0, 1.0, 1.0), 0.5),
-    "fig5": ("P2", (-1.0, 1.0, -1.0), 5.0),
-    "fig6": ("P2", (1.0, 1.0, -1.0), 2.0),
-    "fig7": ("P1", (0.0, 1.0, 0.0), 2.0),
-    "fig8": ("P1", (1.0, 0.0, 1.0), 2.5),
-    "fig9": ("P1", (2.0, 1.0, 0.0), 2.0),
+# the flag defaults that each boundstates and sweep preset stands for
+PRESETS = {
+    "boundstates": {"fig3": {"v": (3.0, 3.0, 3.0), "l": 0.5}},
+    "sweep": {
+        "fig4": {"vertex": "P1", "alphas": (1.0, 1.0, 1.0), "l": 0.5},
+        "fig5": {"vertex": "P2", "alphas": (-1.0, 1.0, -1.0), "l": 5.0},
+        "fig6": {"vertex": "P2", "alphas": (1.0, 1.0, -1.0), "l": 2.0},
+        "fig7": {"vertex": "P1", "alphas": (0.0, 1.0, 0.0), "l": 2.0},
+        "fig8": {"vertex": "P1", "alphas": (1.0, 0.0, 1.0), "l": 2.5},
+        "fig9": {"vertex": "P1", "alphas": (2.0, 1.0, 0.0), "l": 2.0},
+    },
 }
+POINTLIMIT_PRESET_UNREAD = ("set", "family", "g", "n", "parity", "converge", "l0", "levels")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,8 +122,7 @@ def _write_manifests(args, record):
 
 
 def cmd_bands(args):
-    m = args.m
-    cfg = PotentialConfig(args.v[0] / m, args.v[1] / m, args.v[2] / m, 1.0)
+    cfg = PotentialConfig(*(v / args.m for v in args.v))
     ks = np.linspace(-args.kmax, args.kmax, args.nk)
     result = band_sweep(cfg, ks)
     rows = [
@@ -134,8 +138,7 @@ def cmd_bands(args):
 
 
 def cmd_flat(args):
-    m = args.m
-    cfg = PotentialConfig(args.v11 / m, args.v22 / m, args.v33 / m, 1.0)
+    cfg = PotentialConfig(args.v11 / args.m, args.v22 / args.m, args.v33 / args.m)
     flat = classify_flat(cfg)
     print(f"on_A={str(flat.on_a).lower()}")
     print(f"on_B={str(flat.on_b).lower()}")
@@ -150,13 +153,8 @@ def _geometry(args) -> Geometry:
 
 
 def cmd_boundstates(args):
-    m = args.m
-    if args.preset == "fig3":
-        cfg = PotentialConfig(3.0, 3.0, 3.0, 1.0)
-        geom = Geometry.centered(0.5)
-    else:
-        cfg = PotentialConfig(args.v[0] / m, args.v[1] / m, args.v[2] / m, 1.0)
-        geom = _geometry(args)
+    cfg = PotentialConfig(*(v / args.m for v in args.v))
+    geom = _geometry(args)
     sols = find_bound_states(cfg, geom, n_grid=args.ngrid)
     rows = [(s.parity, s.energy, s.kappa, s.residual) for s in sols]
     io_utils.write_csv(args.out, ["parity", "E_b", "kappa", "residual"], rows)
@@ -174,12 +172,8 @@ def cmd_boundstates(args):
 
 
 def cmd_sweep(args):
-    if args.preset:
-        vertex, alphas, l = SWEEP_PRESETS[args.preset]
-    else:
-        vertex, alphas, l = args.vertex, args.alphas, args.l * args.m
-    pencil = PencilSpec(vertex, *alphas)
-    geom = Geometry.centered(l)
+    pencil = PencilSpec(args.vertex, *args.alphas)
+    geom = Geometry.centered(args.l * args.m)
     v_grid = np.linspace(args.vmin, args.vmax, args.nv) / args.m
     spectrum = sweep(pencil, geom, v_grid, n_grid=args.ngrid)
     rows = []
@@ -195,7 +189,7 @@ def cmd_sweep(args):
     )
     stype = classify(pencil)
     return 0, {
-        "pencil": {"vertex": vertex, "alphas": list(alphas), "l": l},
+        "pencil": {"vertex": args.vertex, "alphas": list(args.alphas), "l": geom.l},
         "spectrum_type": stype.tag,
         "beta": stype.beta,
         "events": [list(e) for e in spectrum.events],
@@ -306,7 +300,8 @@ def cmd_verify(args):
     return (0 if ok else 3), {}
 
 
-def build_parser() -> _Parser:
+def build_parser():
+    """(parser, {command: its subparser})."""
     p = _Parser(prog="triband", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -331,7 +326,7 @@ def build_parser() -> _Parser:
     bs.add_argument("--l", type=_positive_float, default=1.0)
     bs.add_argument("--x1", type=float, default=None)
     bs.add_argument("--x2", type=float, default=None)
-    bs.add_argument("--preset", choices=["fig3"], default=None)
+    bs.add_argument("--preset", choices=sorted(PRESETS["boundstates"]), default=None)
     bs.add_argument("--ngrid", type=_positive_int, default=4000)
     bs.add_argument("--wavefunction", default=None, help="also write samples to this CSV")
     bs.add_argument("--nx", type=_positive_int, default=801)
@@ -339,7 +334,7 @@ def build_parser() -> _Parser:
     bs.set_defaults(func=cmd_boundstates)
 
     sw = sub.add_parser("sweep", help="bound states along a strength pencil")
-    sw.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
+    sw.add_argument("--preset", choices=sorted(PRESETS["sweep"]), default=None)
     sw.add_argument("--vertex", choices=["P1", "P2"], default="P1")
     sw.add_argument("--alphas", type=_triple, default=(1.0, 1.0, 1.0), metavar="a1,a2,a3")
     sw.add_argument("--l", type=_positive_float, default=1.0)
@@ -369,12 +364,33 @@ def build_parser() -> _Parser:
     vf.add_argument("--seed", type=int, default=42)
     vf.add_argument("--cases", type=_positive_int, default=20)
     vf.set_defaults(func=cmd_verify)
-    return p
+    return p, sub.choices
+
+
+def _parse(argv):
+    """argv parsed again over the flag defaults its boundstates or sweep preset
+    stands for.  The pointlimit presets (table1, fig10, fig11) read none of
+    POINTLIMIT_PRESET_UNREAD, so giving one with them is a usage error."""
+    parser, subs = build_parser()
+    args = parser.parse_args(argv)
+    preset = getattr(args, "preset", None)
+    if preset is None:
+        return args
+    sub = subs[args.command]
+    if args.command in PRESETS:
+        sub.set_defaults(**PRESETS[args.command][preset])
+        return parser.parse_args(argv)
+    unset = object()
+    sub.set_defaults(**dict.fromkeys(POINTLIMIT_PRESET_UNREAD, unset))
+    given = vars(parser.parse_args(argv))
+    flags = [f"--{k}" for k in POINTLIMIT_PRESET_UNREAD if given[k] is not unset]
+    if flags:
+        sub.error(f"--preset {preset} reads none of {', '.join(flags)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     t0 = time.perf_counter()
     try:
         # (exit code, the command's part of the manifest of each file it wrote)

@@ -17,8 +17,8 @@ c(w, t) = cos(sqrt(w) t), which are analytically continued to w < 0
 w = k^2 keeps every residual real-analytic in E, so no branch bookkeeping for
 imaginary k is needed anywhere.
 
-Energies are in units of the mass gap m (m = 1.0 by default), lengths in 1/m.
-All functions are pure and stateless.
+Energies are in units of the mass gap m and lengths in 1/m, so m = 1 in every
+module but triband.cli, whose --m rescales.  All functions are pure and stateless.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class ZeroK(DomainError):
 
 
 class GapEdge(DomainError):
-    """kappa below tolerance: E too close to the gap edges +-m."""
+    """kappa below tolerance: E too close to the gap edges +-1."""
 
 
 class DegenerateRoots(DomainError):
@@ -94,24 +94,19 @@ class BranchLost(DomainError):
 
 @dataclass(frozen=True)
 class PotentialConfig:
-    """Bare strengths (V11, V22, V33) of the diagonal potential plus the mass.
+    """Bare strengths (V11, V22, V33) of the diagonal potential, in units of m.
 
-    The renormalized strengths v1, v2, v3 and their average va are derived
-    properties; v1 - v11 = m and v33 - v3 = m hold exactly by construction.
+    The renormalized strengths v1 = V11 + 1, v2 = V22, v3 = V33 - 1 and their
+    average va are derived properties.
     """
 
     v11: float
     v22: float
     v33: float
-    m: float = 1.0
-
-    def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
 
     @property
     def v1(self) -> float:
-        return self.v11 + self.m
+        return self.v11 + 1.0
 
     @property
     def v2(self) -> float:
@@ -119,26 +114,26 @@ class PotentialConfig:
 
     @property
     def v3(self) -> float:
-        return self.v33 - self.m
+        return self.v33 - 1.0
 
     @property
     def va(self) -> float:
         return 0.5 * (self.v1 + self.v3)
 
     @classmethod
-    def from_renormalized(cls, v1: float, v2: float, v3: float, m: float = 1.0):
-        return cls(v11=v1 - m, v22=v2, v33=v3 + m, m=m)
+    def from_renormalized(cls, v1: float, v2: float, v3: float):
+        return cls(v11=v1 - 1.0, v22=v2, v33=v3 + 1.0)
 
     def scale(self) -> float:
         """Characteristic energy used for relative tolerances."""
-        return max(self.m, abs(self.v1), abs(self.v2), abs(self.v3))
+        return max(1.0, abs(self.v1), abs(self.v2), abs(self.v3))
 
     def on_plane_a(self, rtol: float = PLANE_RTOL) -> bool:
         """V11 + V33 = 2 V22 within tolerance (equivalently v2 = va)."""
         return abs(self.v2 - self.va) <= rtol * self.scale()
 
     def on_plane_b(self, rtol: float = PLANE_RTOL) -> bool:
-        """V33 - V11 = 2m within tolerance (equivalently v1 = v3)."""
+        """V33 - V11 = 2 within tolerance (equivalently v1 = v3)."""
         return abs(self.v1 - self.v3) <= rtol * self.scale()
 
 
@@ -166,15 +161,15 @@ class Geometry:
         return cls(-0.5 * l, 0.5 * l)
 
 
-def kappa(e, m=1.0):
-    """Exterior decay rate sqrt(m^2 - E^2); elementwise."""
-    return np.sqrt((m - e) * (m + e))
+def kappa(e):
+    """Exterior decay rate sqrt(1 - E^2); elementwise."""
+    return np.sqrt((1.0 - e) * (1.0 + e))
 
 
-def rho(e, m=1.0):
-    """Component ratio sqrt((m - E)/(m + E)) of the decaying exterior ray,
+def rho(e):
+    """Component ratio sqrt((1 - E)/(1 + E)) of the decaying exterior ray,
     which is proportional to (1/rho, sqrt(2), rho); elementwise."""
-    return np.sqrt((m - e) / (m + e))
+    return np.sqrt((1.0 - e) / (1.0 + e))
 
 
 # --- trigonometric kernels ---------------------------------------------------
@@ -284,7 +279,7 @@ def k_squared(cfg: PotentialConfig, e):
     plane, k2, _ = dispersion(cfg)
     if plane == "generic":
         va = cfg.va
-        tol = POLE_RTOL * max(cfg.m, abs(va))
+        tol = POLE_RTOL * max(1.0, abs(va))
         if np.any(np.abs(e - va) < tol):
             raise PoleAtVa(f"E within {tol} of the pole at va = {va}")
     out = k2(e)

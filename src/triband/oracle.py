@@ -33,7 +33,10 @@ from . import rootfind
 from .boundstates import VA_WINDOW, scan_segments
 from .model import REDUCE_RTOL, Geometry, PotentialConfig, kappa
 
-ORACLE_XTOL = 1e-10  # bisection tolerance relative to m
+ORACLE_XTOL = 1e-10  # bisection tolerance
+# RK4 steps and scan points of the solver-versus-oracle comparison
+N_STEPS = 2000
+N_GRID = 4000
 
 
 def _rk4(cfg: PotentialConfig, e: np.ndarray, u, v, span: float, n_steps: int):
@@ -71,7 +74,7 @@ def _rk4(cfg: PotentialConfig, e: np.ndarray, u, v, span: float, n_steps: int):
 
 
 def _left_ray(cfg: PotentialConfig, e: np.ndarray):
-    kap = kappa(e, cfg.m)
+    kap = kappa(e)
     u = 2.0 * e / kap
     v = np.full_like(np.asarray(e, dtype=float), np.sqrt(2.0))
     norm = np.hypot(u, v)
@@ -108,7 +111,6 @@ def oracle_bound_states(
     E = 0 and the constraint pole at E = va mirror the main solver's so both
     enumerate the same domain.
     """
-    m = cfg.m
     grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), n_grid)
     if not grids:
         return []
@@ -120,20 +122,18 @@ def oracle_bound_states(
     lengths = [g.size for g in grids]
     brackets = [rootfind.sign_change_brackets(xs, fs, lengths) for fs in both(xs)]
     refined = rootfind.refine_brackets(
-        both, brackets[0] + brackets[1], xtol=ORACLE_XTOL * m, families=[len(b) for b in brackets]
+        both, brackets[0] + brackets[1], xtol=ORACLE_XTOL, families=[len(b) for b in brackets]
     )
     out = []
     # deduplicated per parity: an exponentially split doublet can sit closer
     # than the dedup tolerance
     for roots, fr in refined:
-        roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL * m)
+        roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL)
         out.extend(float(r) for r in roots)
     return sorted(out)
 
 
-def resolvable_va_window(
-    cfg: PotentialConfig, geom: Geometry, n_steps: int = 2000, n_grid: int = 4000
-) -> float:
+def resolvable_va_window(cfg: PotentialConfig, geom: Geometry) -> float:
     """Half-width around va inside which neither solver resolves levels.
 
     When va lies in the gap (off the plane v2 = va), k^2 ~ F(va)/(E - va)
@@ -141,18 +141,18 @@ def resolvable_va_window(
     RK4 loses phase accuracy once |k| h grows, and any finite grid stops
     separating the accumulating roots, so count comparisons are meaningful
     only outside a configuration-dependent window.  Returns 0.0 when there is
-    no in-gap accumulation point.
+    no in-gap accumulation point.  Sized for the comparison resolution,
+    N_STEPS RK4 steps and N_GRID scan points.
     """
-    m = cfg.m
-    if cfg.on_plane_a(REDUCE_RTOL) or not abs(cfg.va) < m:
+    if cfg.on_plane_a(REDUCE_RTOL) or not abs(cfg.va) < 1.0:
         return 0.0
     f_va = abs((cfg.va - cfg.v1) * (cfg.va - cfg.v2) * (cfg.va - cfg.v3))
     if f_va == 0:
         return 0.0
     # RK4 phase accuracy: keep |k| h below ~0.2
-    k_cap = 0.2 * n_steps / geom.l
+    k_cap = 0.2 * N_STEPS / geom.l
     d_rk4 = f_va / k_cap**2
     # grid resolvability: consecutive-root spacing ~ 4 pi d^{3/2} / (l sqrt(F))
-    de = 2.0 * m / n_grid
+    de = 2.0 / N_GRID
     d_grid = (4.0 * de * geom.l * np.sqrt(f_va) / np.pi) ** (2.0 / 3.0)
-    return float(2.0 * max(d_rk4, d_grid, VA_WINDOW * m))
+    return float(2.0 * max(d_rk4, d_grid, VA_WINDOW))

@@ -3,15 +3,15 @@
 Three squeezing rates send the width l to zero with V(l) -> infinity:
 
     delta:       V = g / l
-    two_thirds:  V = g (m / l^2)^{1/3}
-    inv_square:  V = g / (l^2 m)
+    two_thirds:  V = g / l^{2/3}
+    inv_square:  V = g / l^2
 
 Each supported (spectrum type, rate, level index) combination yields a finite
 limit energy E_n and a limit connection matrix Lambda_n acting on the
 two-sided boundary values of (psi1 - psi3, psi2) at x = +-0.  The matrices
 come in three shapes: a rotation-like matrix for the P/D types (delta rate),
 and (-1)^n times a lower- or upper-triangular unit matrix with off-diagonal
-2 chi_n or 2/chi_n, where chi_n = -sqrt((m^2 - E_n^2)/2)/E_n.
+2 chi_n or 2/chi_n, where chi_n = -sqrt((1 - E_n^2)/2)/E_n.
 
 The delta rate covers ground states only; excited H/W ladders require the
 two_thirds (H1) or inv_square (H2, W1, W2) rates.  The pure first-component
@@ -62,12 +62,12 @@ class SqueezeLaw:
         if self.g == 0:
             raise ValueError("squeeze strength g must be nonzero")
 
-    def v_of_l(self, l: float, m: float = 1.0) -> float:
+    def v_of_l(self, l: float) -> float:
         if self.family == "delta":
             return self.g / l
         if self.family == "two_thirds":
-            return self.g * (m / l**2) ** (1.0 / 3.0)
-        return self.g / (l * l * m)
+            return self.g * (1.0 / l**2) ** (1.0 / 3.0)
+        return self.g / (l * l)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ def level_parity(tag: str, n: int) -> str:
     raise TypeMismatch(f"levels of type {tag!r} are labeled by parity, not index")
 
 
-def limit_energy(
-    pencil: PencilSpec, law: SqueezeLaw, n: int = 0, parity: str | None = None, m: float = 1.0
-):
+def limit_energy(pencil: PencilSpec, law: SqueezeLaw, n: int = 0, parity: str | None = None):
     """Closed-form limit energy, or None when the limit holds no bound state.
 
     spectra.one_point_energy for the pencil's spectrum type and alpha1, which
@@ -110,17 +108,17 @@ def limit_energy(
     Caveat: with the inv_square rate, n = 0 (H2 and W1) returns the delta
     ground law evaluated at the inv_square g.  That is not the limit of the
     finite-width ground level, which along V = g/l^2 follows the delta law at
-    V l = g/l -> infinity: towards 0 for W1 and towards m for H2.
+    V l = g/l -> infinity: towards 0 for W1 and towards 1 for H2.
     """
     if _is_type_three(pencil):
         return None
     return one_point_energy(
-        classify(pencil), law.family, law.g, n=n, parity=parity, m=m, alpha=pencil.alpha1
+        classify(pencil), law.family, law.g, n=n, parity=parity, alpha=pencil.alpha1
     )
 
 
-def chi(e: float, m: float = 1.0) -> float:
-    return float(-np.sqrt((m - e) * (m + e) / 2.0) / e)
+def chi(e: float) -> float:
+    return float(-np.sqrt((1.0 - e) * (1.0 + e) / 2.0) / e)
 
 
 def limit_matrix(
@@ -129,21 +127,20 @@ def limit_matrix(
     n: int = 0,
     e_n: float | None = None,
     parity: str | None = None,
-    m: float = 1.0,
 ) -> PointInteraction:
     """Limit connection matrix Lambda_n for a supported combination."""
     stype = classify(pencil)
     tag = stype.tag
     if e_n is None:
-        e_n = limit_energy(pencil, law, n=n, parity=parity, m=m)
+        e_n = limit_energy(pencil, law, n=n, parity=parity)
     if e_n is None:
         raise UnsupportedCombination("no bound state (hence no matrix) in this limit")
     if tag in ("P", "D"):
         beta = stype.beta
         s, c = sc_kernels(beta, law.g)
         lam = ConnectionMatrix(float(c), float(-SQRT2 * s), float(beta * s / SQRT2), float(c))
-        return PointInteraction(lam, float(e_n), 0, chi(e_n, m))
-    x = chi(e_n, m)
+        return PointInteraction(lam, float(e_n), 0, chi(e_n))
+    x = chi(e_n)
     sign = -1.0 if n % 2 else 1.0
     if tag in ("H2", "W2"):
         lam = ConnectionMatrix(sign, sign * 2.0 / x, 0.0, sign)
@@ -169,16 +166,15 @@ def convergence_study(
     n: int = 0,
     l_sequence=(),
     parity: str | None = None,
-    m: float = 1.0,
 ) -> list[ConvergenceRow]:
     """Finite-width energies against the limit value over a decreasing l list.
 
     For every l the solver runs at V = V(l); the state nearest the limit
     energy (with matching parity) within the capture radius continues the
     branch.  The radius is 0.2 times the distance to the nearest other limit
-    level of the same family, or 0.1 m when there is none.
+    level of the same family, or 0.1 when there is none.
     """
-    e_limit = limit_energy(pencil, law, n=n, parity=parity, m=m)
+    e_limit = limit_energy(pencil, law, n=n, parity=parity)
     if e_limit is None:
         raise UnsupportedCombination("no limit level to converge to")
     tag = classify(pencil).tag
@@ -189,18 +185,18 @@ def convergence_study(
             if other < 0:
                 continue
             try:
-                e_o = limit_energy(pencil, law, n=other, parity=parity, m=m)
+                e_o = limit_energy(pencil, law, n=other, parity=parity)
             except (OutOfValidityWindow, UnsupportedCombination, TypeMismatch):
                 continue
             if e_o is not None:
                 gaps.append(abs(e_o - e_limit))
-    capture_radius = 0.2 * min(gaps) if gaps else 0.1 * m
+    capture_radius = 0.2 * min(gaps) if gaps else 0.1
     rows: list[ConvergenceRow] = []
     prev_err = None
     prev_l = None
     for l in l_sequence:
-        v = law.v_of_l(l, m)
-        cfg = pencil.config(v, m)
+        v = law.v_of_l(l)
+        cfg = pencil.config(v)
         geom = Geometry.centered(l)
         states = [
             s
@@ -227,7 +223,6 @@ def squeezed_eigenfunction(
     n: int = 0,
     x_grid=(),
     parity: str | None = None,
-    m: float = 1.0,
 ) -> list[WaveFunctionSample]:
     """Two-sided exponential eigenfunction of the point interaction.
 
@@ -235,7 +230,7 @@ def squeezed_eigenfunction(
     (boundstates._exterior_ray) with both edges at x = 0 and unit amplitude,
     so (1/rho, +-sqrt(2), +-rho) e^{-kappa |x|} on each side.
     """
-    e = limit_energy(pencil, law, n=n, parity=parity, m=m)
+    e = limit_energy(pencil, law, n=n, parity=parity)
     if e is None:
         raise UnsupportedCombination("no bound state in this limit")
     tag = classify(pencil).tag
@@ -244,5 +239,5 @@ def squeezed_eigenfunction(
     right = x > 0
     psi = np.empty((3, x.size))
     for side, is_right in ((~right, False), (right, True)):
-        psi[:, side] = _exterior_ray(par, kappa(e, m), rho(e, m), 1.0, np.abs(x[side]), is_right)
+        psi[:, side] = _exterior_ray(par, kappa(e), rho(e), 1.0, np.abs(x[side]), is_right)
     return [WaveFunctionSample(*map(float, row)) for row in zip(x, *psi)]

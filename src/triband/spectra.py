@@ -2,14 +2,14 @@
 
 A pencil fixes coefficients (alpha1, alpha2, alpha3) and a vertex, and scales
 one strength parameter V.  Vertex P1 sits at the origin of the bare strengths
-(V11, V22, V33) = (a1 V, a2 V, a3 V); vertex P2 at (-m, 0, m), i.e. the
+(V11, V22, V33) = (a1 V, a2 V, a3 V); vertex P2 at (-1, 0, 1), i.e. the
 renormalized strengths scale, (v1, v2, v3) = (a1 V, a2 V, a3 V).
 
 Large-|V| behavior sorts the pencils into four species:
 
     P: all a_j != 0 and a1 a3/(a1 + a3) > 0 -> two levels, asymptotically
        periodic in V with beta = 2 a1 a3/(a1 + a3);
-    D: same but negative ratio -> two levels merging to sgn(V) m/sqrt(1-beta);
+    D: same but negative ratio -> two levels merging to sgn(V)/sqrt(1-beta);
     H: hydrogen-like 1/n^2 ladders (a1 = -a3 != 0 with a2 != 0, or
        a1 = a3 = 0 with a2 != 0 on P1);
     W: well-like n^2 ladders detaching from the thresholds (a2 = 0 with
@@ -19,7 +19,7 @@ one_point_energy is the one table of the closed-form one-point
 (point-interaction) laws, keyed by species, squeezing rate and strength g.
 pointlimits.limit_energy reads it for a pencil and a SqueezeLaw,
 asymptotic_energy for a strength V and a width l.  The laws are exact as
-l -> 0 at fixed g; at fixed l they carry an offset of order m l that does not
+l -> 0 at fixed g; at fixed l they carry an offset of order l that does not
 shrink with V.
 """
 
@@ -56,13 +56,11 @@ class PencilSpec:
         if self.vertex not in ("P1", "P2"):
             raise ValueError(f"vertex must be 'P1' or 'P2', got {self.vertex!r}")
 
-    def config(self, v: float, m: float = 1.0) -> PotentialConfig:
+    def config(self, v: float) -> PotentialConfig:
         """Strength triple at parameter value V."""
         if self.vertex == "P1":
-            return PotentialConfig(self.alpha1 * v, self.alpha2 * v, self.alpha3 * v, m)
-        return PotentialConfig.from_renormalized(
-            self.alpha1 * v, self.alpha2 * v, self.alpha3 * v, m
-        )
+            return PotentialConfig(self.alpha1 * v, self.alpha2 * v, self.alpha3 * v)
+        return PotentialConfig.from_renormalized(self.alpha1 * v, self.alpha2 * v, self.alpha3 * v)
 
     @property
     def beta(self) -> float | None:
@@ -91,7 +89,6 @@ class Branch:
 class BranchedSpectrum:
     pencil: PencilSpec
     geom: Geometry
-    m: float
     v_grid: np.ndarray
     levels: list  # per V point, list[BoundStateSolution]
     branches: list  # list[Branch]
@@ -123,7 +120,6 @@ def sweep(
     pencil: PencilSpec,
     geom: Geometry,
     v_grid,
-    m: float = 1.0,
     n_grid: int = 4000,
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
@@ -141,9 +137,9 @@ def sweep(
     v_grid = np.asarray(sorted(v_grid), dtype=float)
     if v_grid.size == 0:
         raise ValueError("empty V grid")
-    levels = find_bound_states_many([pencil.config(v, m) for v in v_grid], geom, n_grid=n_grid)
+    levels = find_bound_states_many([pencil.config(v) for v in v_grid], geom, n_grid=n_grid)
     branches, events = _link(v_grid, levels)
-    return BranchedSpectrum(pencil, geom, m, v_grid, levels, branches, events)
+    return BranchedSpectrum(pencil, geom, v_grid, levels, branches, events)
 
 
 def _link(v_grid, levels):
@@ -234,7 +230,6 @@ def one_point_energy(
     g: float,
     n: int = 0,
     parity: str | None = None,
-    m: float = 1.0,
     alpha: float = 1.0,
 ):
     """Closed-form level of the point interaction, or None when it holds none.
@@ -264,13 +259,13 @@ def one_point_energy(
             # finite through the tan/cot singularities
             s, c = np.sin(x), np.cos(x)
             if parity == "+":
-                return float(m * np.sign(c) * s / np.sqrt(s * s + beta * c * c))
-            return float(-m * np.sign(s) * c / np.sqrt(c * c + beta * s * s))
+                return float(np.sign(c) * s / np.sqrt(s * s + beta * c * c))
+            return float(-np.sign(s) * c / np.sqrt(c * c + beta * s * s))
         th = np.tanh(abs(x))
         sgn = np.sign(g)
         if parity == "+":
-            return float(sgn * m * th / np.sqrt(th * th - beta))
-        return float(sgn * m / np.sqrt(1.0 - beta * th * th))
+            return float(sgn * th / np.sqrt(th * th - beta))
+        return float(sgn / np.sqrt(1.0 - beta * th * th))
     if tag == "H1":
         if family != "two_thirds":
             raise UnsupportedCombination("type H1 excited levels use the two_thirds rate")
@@ -280,7 +275,7 @@ def one_point_energy(
             raise OutOfValidityWindow(
                 f"two_thirds level n={n} needs 0 < |g| < (n pi/alpha)^(2/3)"
             )
-        return float((alpha / (n * np.pi)) ** 2 * g**3 * m)
+        return float((alpha / (n * np.pi)) ** 2 * g**3)
     if tag not in ("H2", "W1", "W2"):
         raise UnsupportedCombination(f"no squeezing limit tabulated for type {tag!r}")
     if family not in ("delta", "inv_square"):
@@ -292,22 +287,22 @@ def one_point_energy(
     # the ground branch: the same law for both rates (see pointlimits.limit_energy)
     if n == 0:
         if tag == "W1":
-            return float(-np.sign(beta * g) * m / np.sqrt(1.0 + (beta * g) ** 2 / 4.0))
+            return float(-np.sign(beta * g) / np.sqrt(1.0 + (beta * g) ** 2 / 4.0))
         # for W2 a real interior wave number in the limit requires g < 0; for
         # g > 0 the level is absorbed at the upper threshold
-        return m * g / np.sqrt(4.0 + g * g) if tag == "H2" or g < 0 else None
+        return g / np.sqrt(4.0 + g * g) if tag == "H2" or g < 0 else None
     if family == "delta":
         return None
     if tag == "H2":
         q = n * n * np.pi * np.pi
-        return float(q * m / (2.0 * g) * (np.sqrt(1.0 + 4.0 * g * g / q**2) - 1.0))
+        return float(q / (2.0 * g) * (np.sqrt(1.0 + 4.0 * g * g / q**2) - 1.0))
     if tag == "W1":
         if not abs(beta * g) > (n * np.pi) ** 2:
             raise OutOfValidityWindow(f"inv_square level n={n} needs |beta g| > (n pi)^2")
-        return float(-(n * np.pi) ** 2 * m / (beta * g))
+        return float(-(n * np.pi) ** 2 / (beta * g))
     if not g < -(n * np.pi) ** 2 / (2.0 * alpha):
         raise OutOfValidityWindow(f"inv_square level n={n} needs g < -(n pi)^2/(2 alpha)")
-    return float(-(1.0 + (n * np.pi) ** 2 / (alpha * g)) * m)
+    return float(-(1.0 + (n * np.pi) ** 2 / (alpha * g)))
 
 
 def asymptotic_energy(
@@ -315,7 +310,6 @@ def asymptotic_energy(
     v: float,
     geom: Geometry,
     n: int | None = None,
-    m: float = 1.0,
     alpha: float = 1.0,
 ):
     """One-point level laws per spectrum species at strength V and width l.
@@ -329,72 +323,72 @@ def asymptotic_energy(
     These are the point-interaction limits, not fixed-width asymptotics:
     one_point_energy at the strength g that V and l give, delta with
     g = V l for P, D and every n = 0 level, two_thirds with
-    g = V (l^2/m)^(1/3) for the H1 ladder, inv_square with g = V l^2 m for
+    g = V l^(2/3) for the H1 ladder, inv_square with g = V l^2 for
     the other ladders.  The one law of its own is the W2 ground level at
-    V > 0, m/sqrt(1 + 2 alpha m/V), which the point limit absorbs at the
+    V > 0, 1/sqrt(1 + 2 alpha/V), which the point limit absorbs at the
     threshold.  They are exact as l -> 0 at fixed g.  At fixed l they carry
-    an offset of order m l: on the P pencil (1, 1, 1), for instance,
-    k^2 = (E - V)^2 - m^2, so the true phase is (V - E) l/2 where the law
+    an offset of order l: on the P pencil (1, 1, 1), for instance,
+    k^2 = (E - V)^2 - 1, so the true phase is (V - E) l/2 where the law
     uses V l/2.  A law outside its validity window raises TypeMismatch.
     """
     l = geom.l
     try:
         if stype.tag in ("P", "D"):
-            return {p: one_point_energy(stype, "delta", v * l, parity=p, m=m) for p in "+-"}
+            return {p: one_point_energy(stype, "delta", v * l, parity=p) for p in "+-"}
         if n is None:
             raise TypeMismatch(f"{stype.tag} asymptotics need a level index")
         if n == 0:
             family, g = "delta", v * l
         elif stype.tag == "H1":
-            family, g = "two_thirds", v * (l * l / m) ** (1.0 / 3.0)
+            family, g = "two_thirds", v * (l * l) ** (1.0 / 3.0)
         else:
-            family, g = "inv_square", v * l * l * m
-        e = one_point_energy(stype, family, g, n=n, m=m, alpha=alpha)
+            family, g = "inv_square", v * l * l
+        e = one_point_energy(stype, family, g, n=n, alpha=alpha)
     except (OutOfValidityWindow, UnsupportedCombination) as exc:
         raise TypeMismatch(str(exc)) from exc
     if e is None:  # the W2 ground level at V >= 0
         if v == 0:
-            raise TypeMismatch("the W2 ground level m/sqrt(1 + 2 alpha m/V) needs V > 0")
-        e = m / np.sqrt(1.0 + 2.0 * alpha * m / v)
+            raise TypeMismatch("the W2 ground level 1/sqrt(1 + 2 alpha/V) needs V > 0")
+        e = 1.0 / np.sqrt(1.0 + 2.0 * alpha / v)
     return {"n": float(e)}
 
 
 def cutoff_values(
-    stype: SpectrumType, geom: Geometry, n: int, m: float = 1.0, alpha: float = 1.0
+    stype: SpectrumType, geom: Geometry, n: int, alpha: float = 1.0
 ) -> list[float]:
-    """Strengths V where the n-th level meets a threshold E = +-m.
+    """Strengths V where the n-th level meets a threshold E = +-1.
 
-    H1: roots of (V -+ m)^2 (V +- m) = (n pi / l)^2 m on |V| >= m, one
+    H1: roots of (V -+ 1)^2 (V +- 1) = (n pi / l)^2 on |V| >= 1, one
     bracket per side refined by rootfind.refine_brackets.  W1/W2: the stated
     detachment thresholds of the level ladders.  The W1 value
-    (n pi/l)^2/(|beta| m) is the one-point threshold; the exact detachment is where
-    k^2(E = -m) = (n pi/l)^2, e.g. V ~ 13.28 against 14.21 for n = 3, l = 2.5
+    (n pi/l)^2/|beta| is the one-point threshold; the exact detachment is where
+    k^2(E = -1) = (n pi/l)^2, e.g. V ~ 13.28 against 14.21 for n = 3, l = 2.5
     on the pencil (1, 0, 1).
     """
     l = geom.l
     q = (n * np.pi / l) ** 2
     if stype.tag == "H1":
-        # the level hits E = -m when V <= -m: (V + m)^2 (m - V) = q m,
-        # and E = +m when V >= m: (V - m)^2 (V + m) = q m
+        # the level hits E = -1 when V <= -1: (V + 1)^2 (1 - V) = q,
+        # and E = +1 when V >= 1: (V - 1)^2 (V + 1) = q
         cubics = (
-            (lambda v: (v + m) ** 2 * (m - v) - q * m, -m - 10 * (q + m), -m),
-            (lambda v: (v - m) ** 2 * (v + m) - q * m, m, m + 10 * (q + m)),
+            (lambda v: (v + 1.0) ** 2 * (1.0 - v) - q, -1.0 - 10 * (q + 1.0), -1.0),
+            (lambda v: (v - 1.0) ** 2 * (v + 1.0) - q, 1.0, 1.0 + 10 * (q + 1.0)),
         )
         sides = [(f, lo, hi) for f, lo, hi in cubics if f(lo) * f(hi) <= 0]
         refined = rootfind.refine_brackets(
             lambda v: [f(v) for f, _, _ in sides],
             [(lo, hi) for _, lo, hi in sides],
-            xtol=1e-13 * m,
+            xtol=1e-13,
             families=[1] * len(sides),
         )
         return sorted(float(roots[0]) for roots, _ in refined)
     if stype.tag == "W1":
         if stype.beta is None or stype.beta == 0:
             raise TypeMismatch("W1 cutoffs need beta != 0")
-        v = q / (abs(stype.beta) * m)
+        v = q / abs(stype.beta)
         return sorted([-v, v])
     if stype.tag == "W2":
         if alpha <= 0:
             raise TypeMismatch("W2 needs alpha > 0")
-        return [-q / (2.0 * alpha * m)]
+        return [-q / (2.0 * alpha)]
     raise TypeMismatch(f"no threshold law for spectrum type {stype.tag!r}")

@@ -2,8 +2,8 @@
 
 Run through `triband verify`; every check returns (name, ok, detail) and the
 CLI exits nonzero if any check fails.  The random suite draws strengths
-uniformly from [-5m, 5m] and widths from [0.2, 3]/m with a fixed seed, so
-results are reproducible byte for byte.
+uniformly from [-5, 5] and widths from [0.2, 3] (units of m and 1/m) with a
+fixed seed, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,9 +20,14 @@ from .boundstates import (
     find_bound_states,
 )
 from .model import Geometry, PoleAtVa, PotentialConfig
+from .oracle import N_GRID, N_STEPS
 from .pointlimits import SqueezeLaw
 from .spectra import PencilSpec
 
+# random_configs: strengths drawn from [-RANDOM_STRENGTH, RANDOM_STRENGTH];
+# crosscheck_config: largest solver-oracle level difference that agrees
+RANDOM_STRENGTH = 5.0
+AGREEMENT_ATOL = 1e-8
 # check_unit_determinant: random draws and the bound on the scaled |det - 1|
 DETERMINANT_SEED = 42
 DETERMINANT_SAMPLES = 10000
@@ -34,48 +39,46 @@ JUMP_TOL = 1e-9
 OUTER_JUMP_TOL = 1e-10
 
 
-def random_configs(seed: int, cases: int, strength: float = 5.0, m: float = 1.0):
+def random_configs(seed: int, cases: int):
     """The seeded random (config, geometry) suite used by the cross-checks."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(cases):
-        v = rng.uniform(-strength * m, strength * m, size=3)
-        l = rng.uniform(0.2 / m, 3.0 / m)
-        out.append((PotentialConfig(v[0], v[1], v[2], m), Geometry.centered(l)))
+        v = rng.uniform(-RANDOM_STRENGTH, RANDOM_STRENGTH, size=3)
+        l = rng.uniform(0.2, 3.0)
+        out.append((PotentialConfig(v[0], v[1], v[2]), Geometry.centered(l)))
     return out
 
 
-def comparison_domain(cfg, geom, n_steps=2000, n_grid=4000):
+def comparison_domain(cfg, geom):
     """Exclusion intervals shared by solver and oracle for count comparison."""
-    w = oracle.resolvable_va_window(cfg, geom, n_steps=n_steps, n_grid=n_grid)
-    if w <= 0:
-        return []
-    return [(cfg.va - w, cfg.va + w)]
+    w = oracle.resolvable_va_window(cfg, geom)
+    return [(cfg.va - w, cfg.va + w)] if w > 0 else []
 
 
-def crosscheck_config(cfg, geom, n_steps=2000, n_grid=4000, atol=1e-8):
+def crosscheck_config(cfg, geom):
     """Compare solver and oracle level lists on the common resolvable domain.
 
     Returns (ok, n_solver, n_oracle, max_abs_diff).
     """
-    excl = comparison_domain(cfg, geom, n_steps=n_steps, n_grid=n_grid)
-    sol = find_bound_states(cfg, geom, n_grid=n_grid, extra_exclusions=excl)
+    excl = comparison_domain(cfg, geom)
+    sol = find_bound_states(cfg, geom, n_grid=N_GRID, extra_exclusions=excl)
     e_solver = np.array([s.energy for s in sol])
     e_oracle = np.array(
-        oracle.oracle_bound_states(cfg, geom, n_grid=n_grid, n_steps=n_steps, extra_exclusions=excl)
+        oracle.oracle_bound_states(cfg, geom, n_grid=N_GRID, n_steps=N_STEPS, extra_exclusions=excl)
     )
     if e_solver.size != e_oracle.size:
         return False, e_solver.size, e_oracle.size, np.inf
     if e_solver.size == 0:
         return True, 0, 0, 0.0
     diff = float(np.max(np.abs(e_solver - e_oracle)))
-    return diff < atol * cfg.m, e_solver.size, e_oracle.size, diff
+    return diff < AGREEMENT_ATOL, e_solver.size, e_oracle.size, diff
 
 
-def check_oracle_agreement(seed=42, cases=20, atol=1e-8):
+def check_oracle_agreement(seed=42, cases=20):
     worst = 0.0
     for cfg, geom in random_configs(seed, cases):
-        ok, ns, no, diff = crosscheck_config(cfg, geom, atol=atol)
+        ok, ns, no, diff = crosscheck_config(cfg, geom)
         if not ok:
             return False, f"mismatch at {cfg}: counts {ns}/{no}, diff {diff:g}"
         if np.isfinite(diff):
@@ -91,7 +94,7 @@ def check_unit_determinant():
         v = rng.uniform(-5, 5, size=3)
         l = rng.uniform(0.05, 4.0)
         e = rng.uniform(-0.999, 0.999)
-        cfg = PotentialConfig(v[0], v[1], v[2], 1.0)
+        cfg = PotentialConfig(v[0], v[1], v[2])
         try:
             lam = connection_matrix(cfg, Geometry.centered(l), e)
         except PoleAtVa:
@@ -206,7 +209,7 @@ def check_type_three_squeeze():
         return False, "limit energy unexpectedly exists"
     margins = []
     for l in (1e-2, 1e-3):
-        cfg = pencil.config(law.v_of_l(l), 1.0)
+        cfg = pencil.config(law.v_of_l(l))
         sols = find_bound_states(cfg, Geometry.centered(l))
         margins.append(max((1.0 - abs(s.energy) for s in sols), default=0.0))
     ok = margins[1] < max(margins[0], 1e-8) and margins[1] < 1e-4

@@ -26,7 +26,7 @@ def report(num: int, ok: bool, detail: str):
 
 def test_criterion_01_reference_two_level_potential():
     t0 = time.perf_counter()
-    sols = find_bound_states(PotentialConfig(3.0, 3.0, 3.0, 1.0), Geometry.centered(0.5))
+    sols = find_bound_states(PotentialConfig(3.0, 3.0, 3.0), Geometry.centered(0.5))
     elapsed = time.perf_counter() - t0
     by_parity = {s.parity: s.energy for s in sols}
     ok = (
@@ -50,12 +50,12 @@ def test_criterion_02_flat_band_invariance():
     worst = 0.0
     for _ in range(50):
         v11, v22 = rng.uniform(-5, 5, size=2)
-        cfg = PotentialConfig(v11, v22, 2.0 * v22 - v11, 1.0)
+        cfg = PotentialConfig(v11, v22, 2.0 * v22 - v11)
         for k in ks:
             worst = max(worst, abs(dispersion_bands(cfg, k).e_mid - v22))
     for _ in range(50):
         v11, v22 = rng.uniform(-5, 5, size=2)
-        cfg = PotentialConfig(v11, v22, v11 + 2.0, 1.0)
+        cfg = PotentialConfig(v11, v22, v11 + 2.0)
         for k in ks:
             worst = max(worst, abs(dispersion_bands(cfg, k).e_mid - (v11 + 1.0)))
     elapsed = time.perf_counter() - t0
@@ -70,7 +70,7 @@ def test_criterion_03_uniform_shift_spectrum():
     for _ in range(10):
         v = rng.uniform(-5, 5)
         k = rng.uniform(-5, 5)
-        tr = dispersion_bands(PotentialConfig(v, v, v, 1.0), k)
+        tr = dispersion_bands(PotentialConfig(v, v, v), k)
         ref = np.sqrt(k * k + 1.0)
         worst = max(
             worst,
@@ -283,7 +283,7 @@ def test_criterion_09_w1_detachment_staircase():
 
 def test_criterion_10_oracle_equivalence():
     t0 = time.perf_counter()
-    ok, detail = check_oracle_agreement(seed=42, cases=20, atol=1e-8)
+    ok, detail = check_oracle_agreement(seed=42, cases=20)
     elapsed = time.perf_counter() - t0
     ok = bool(ok and elapsed < 60.0)
     assert report(10, ok, f"{detail} ({elapsed:.1f} s)")

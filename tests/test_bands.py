@@ -28,7 +28,7 @@ def eigenvector_system_residual(cfg, k, sig):
 
 
 def test_free_particle_bands():
-    cfg = PotentialConfig(0, 0, 0, 1.0)
+    cfg = PotentialConfig(0, 0, 0)
     for k in (0.0, 0.5, 2.0, -3.7):
         tr = dispersion_bands(cfg, k)
         ref = np.sqrt(k * k + 1.0)
@@ -43,7 +43,7 @@ def test_uniform_shift_bands():
     for _ in range(10):
         v = rng.uniform(-4, 4)
         k = rng.uniform(-5, 5)
-        tr = dispersion_bands(PotentialConfig(v, v, v, 1.0), k)
+        tr = dispersion_bands(PotentialConfig(v, v, v), k)
         ref = np.sqrt(k * k + 1.0)
         assert tr.e_minus == pytest.approx(v - ref, abs=1e-10)
         assert tr.e_mid == pytest.approx(v, abs=1e-10)
@@ -52,7 +52,7 @@ def test_uniform_shift_bands():
 
 def test_plane_a_band_formula():
     # V11 + V33 = 2 V22: dispersive bands at v2 +- sqrt(k^2 + ((v1-v3)/2)^2)
-    cfg = PotentialConfig(1.0, 0.75, 0.5, 1.0)
+    cfg = PotentialConfig(1.0, 0.75, 0.5)
     assert classify_flat(cfg).on_a
     half = 0.5 * (cfg.v1 - cfg.v3)
     for k in (0.3, 1.0, 4.0):
@@ -64,11 +64,11 @@ def test_plane_a_band_formula():
 
 
 def test_classify_flat_examples():
-    flat = classify_flat(PotentialConfig(2.0, 2.0, 2.0, 1.0))
+    flat = classify_flat(PotentialConfig(2.0, 2.0, 2.0))
     assert flat.on_a and not flat.on_b and flat.flat_energy == pytest.approx(2.0)
-    flat = classify_flat(PotentialConfig(-1.0 + 0.3, 0.77, 1.0 + 0.3, 1.0))
+    flat = classify_flat(PotentialConfig(-1.0 + 0.3, 0.77, 1.0 + 0.3))
     assert flat.on_b and flat.flat_energy == pytest.approx(0.3)
-    flat = classify_flat(PotentialConfig(0.3, 0.9, 0.2, 1.0))
+    flat = classify_flat(PotentialConfig(0.3, 0.9, 0.2))
     assert not flat.on_a and not flat.on_b and flat.flat_energy is None
 
 
@@ -83,24 +83,23 @@ def test_intersection_line_membership():
 
 
 def test_panel_classes():
-    m = 1.0
     mk = PotentialConfig.from_renormalized
-    assert panel_class(mk(0.0, -5.0, 1.0, m)) == "a"
-    assert panel_class(mk(0.0, 0.0, 1.0, m)) == "b"
-    assert panel_class(mk(0.0, 0.2, 1.0, m)) == "c"
-    assert panel_class(mk(0.0, 0.5, 1.0, m)) == "d"
-    assert panel_class(mk(0.0, 0.8, 1.0, m)) == "e"
-    assert panel_class(mk(0.0, 1.0, 1.0, m)) == "f"
-    assert panel_class(mk(0.0, 5.0, 1.0, m)) == "g"
-    assert panel_class(mk(1.0, -5.0, 1.0, m)) == "h"
-    assert panel_class(mk(1.0, 5.0, 1.0, m)) == "i"
-    assert panel_class(mk(1.0, 1.0, 1.0, m)) == "j"
+    assert panel_class(mk(0.0, -5.0, 1.0)) == "a"
+    assert panel_class(mk(0.0, 0.0, 1.0)) == "b"
+    assert panel_class(mk(0.0, 0.2, 1.0)) == "c"
+    assert panel_class(mk(0.0, 0.5, 1.0)) == "d"
+    assert panel_class(mk(0.0, 0.8, 1.0)) == "e"
+    assert panel_class(mk(0.0, 1.0, 1.0)) == "f"
+    assert panel_class(mk(0.0, 5.0, 1.0)) == "g"
+    assert panel_class(mk(1.0, -5.0, 1.0)) == "h"
+    assert panel_class(mk(1.0, 5.0, 1.0)) == "i"
+    assert panel_class(mk(1.0, 1.0, 1.0)) == "j"
     # order of v1, v3 must not matter
-    assert panel_class(mk(1.0, -5.0, 0.0, m)) == "a"
+    assert panel_class(mk(1.0, -5.0, 0.0)) == "a"
 
 
 def test_band_sweep_annotates_panel():
-    sweep = band_sweep(PotentialConfig(3.0, 1.5, 0.0, 1.0), np.linspace(-5, 5, 41))
+    sweep = band_sweep(PotentialConfig(3.0, 1.5, 0.0), np.linspace(-5, 5, 41))
     assert len(sweep.triples) == 41
     assert sweep.panel in "abcdefghij"
 
@@ -110,7 +109,7 @@ def test_band_sweep_annotates_panel():
 )
 @settings(max_examples=200, deadline=None)
 def test_band_roots_satisfy_dispersion(v11, v22, v33, k):
-    cfg = PotentialConfig(v11, v22, v33, 1.0)
+    cfg = PotentialConfig(v11, v22, v33)
     tr = dispersion_bands(cfg, k)
     for e in (tr.e_minus, tr.e_mid, tr.e_plus):
         f = (e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3)
@@ -118,7 +117,7 @@ def test_band_roots_satisfy_dispersion(v11, v22, v33, k):
 
 
 def test_free_particle_hole_symmetry():
-    cfg = PotentialConfig(0, 0, 0, 1.0)
+    cfg = PotentialConfig(0, 0, 0)
     for k in np.linspace(-4, 4, 17):
         tr = dispersion_bands(cfg, k)
         triple = (tr.e_minus, tr.e_mid, tr.e_plus)
@@ -132,11 +131,11 @@ def test_flat_band_invariance_on_planes():
     ks = np.linspace(-5, 5, 100)
     for _ in range(20):
         v11, v22 = rng.uniform(-4, 4, size=2)
-        cfg_a = PotentialConfig(v11, v22, 2 * v22 - v11, 1.0)
+        cfg_a = PotentialConfig(v11, v22, 2 * v22 - v11)
         for k in ks[::7]:
             assert dispersion_bands(cfg_a, k).e_mid == pytest.approx(v22, abs=1e-11)
         v11, v22 = rng.uniform(-4, 4, size=2)
-        cfg_b = PotentialConfig(v11, v22, v11 + 2.0, 1.0)
+        cfg_b = PotentialConfig(v11, v22, v11 + 2.0)
         for k in ks[::7]:
             assert dispersion_bands(cfg_b, k).e_mid == pytest.approx(v11 + 1.0, abs=1e-11)
 
@@ -158,7 +157,7 @@ def test_middle_band_flattens_toward_plane_a():
 def test_eigenvector_residuals_dispersive():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        cfg = PotentialConfig(*rng.uniform(-3, 3, size=3), 1.0)
+        cfg = PotentialConfig(*rng.uniform(-3, 3, size=3))
         k = rng.uniform(0.2, 4.0)
         for branch in ("+", "-", "0"):
             if branch == "0" and classify_flat(cfg).on_b:
@@ -181,6 +180,6 @@ def test_eigenvector_on_intersection_line():
 
 
 def test_flat_eigenvector_plane_a_satisfies_system():
-    cfg = PotentialConfig(1.0, 0.75, 0.5, 1.0)
+    cfg = PotentialConfig(1.0, 0.75, 0.5)
     sig = band_eigenfunction(cfg, 1.1, "0")
     assert eigenvector_system_residual(cfg, 1.1, sig) < 1e-12

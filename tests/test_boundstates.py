@@ -37,7 +37,7 @@ from triband.model import (
 from triband.spectra import PencilSpec, sweep
 from triband.verify import comparison_domain, random_configs
 
-FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
+FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0)
 FIG3_GEOM = Geometry.centered(0.5)
 
 
@@ -46,7 +46,7 @@ def _matrix(lam):
 
 
 def test_connection_matrix_width_zero_is_identity():
-    cfg = PotentialConfig(1.0, -2.0, 0.5, 1.0)
+    cfg = PotentialConfig(1.0, -2.0, 0.5)
     lam = connection_matrix(cfg, Geometry.centered(1e-12), 0.4)
     assert np.allclose(_matrix(lam), np.eye(2), atol=1e-10)
 
@@ -60,7 +60,7 @@ def test_connection_matrix_width_zero_is_identity():
 )
 @settings(max_examples=300, deadline=None)
 def test_connection_matrix_unit_determinant(v11, v22, v33, e, l):
-    cfg = PotentialConfig(v11, v22, v33, 1.0)
+    cfg = PotentialConfig(v11, v22, v33)
     try:
         lam = connection_matrix(cfg, Geometry.centered(l), e)
     except PoleAtVa:
@@ -73,7 +73,7 @@ def test_connection_matrix_unit_determinant(v11, v22, v33, e, l):
 
 def test_connection_matrix_regular_at_e_equal_v2():
     # l21 = -k^2 s / (sqrt(2)(E - v2)) has a removable singularity at E = v2
-    cfg = PotentialConfig(1.0, 0.3, -0.5, 1.0)
+    cfg = PotentialConfig(1.0, 0.3, -0.5)
     geom = Geometry.centered(1.0)
     lam0 = connection_matrix(cfg, geom, cfg.v2)
     lam1 = connection_matrix(cfg, geom, cfg.v2 + 1e-9)
@@ -89,7 +89,7 @@ def test_delta_squeeze_limit_of_connection_matrix():
     )
     errs = []
     for l in (1e-4, 1e-6):
-        cfg = PotentialConfig(g / l, g / l, g / l, 1.0)
+        cfg = PotentialConfig(g / l, g / l, g / l)
         lam = connection_matrix(cfg, Geometry.centered(l), 0.3)
         errs.append(np.max(np.abs(_matrix(lam) - target)))
     assert errs[0] < 1e-3 and errs[1] < 1e-5
@@ -118,7 +118,7 @@ def test_split_residuals_zero_crossings_match_reported_levels():
 
 
 def test_split_and_general_conditions_have_same_zero_sets():
-    cfg = PotentialConfig(-2.0, 1.5, 1.0, 1.0)
+    cfg = PotentialConfig(-2.0, 1.5, 1.0)
     geom = Geometry.centered(1.5)
     es = np.linspace(-0.95, 0.95, 1501)
     keep = (np.abs(es) > 1e-4) & (np.abs(es - cfg.va) > 2e-2)
@@ -158,7 +158,7 @@ def test_reference_two_level_configuration():
 
 
 def test_free_potential_has_no_bound_states():
-    assert find_bound_states(PotentialConfig(0, 0, 0, 1.0), Geometry.centered(1.0)) == []
+    assert find_bound_states(PotentialConfig(0, 0, 0), Geometry.centered(1.0)) == []
 
 
 def test_reported_levels_revalidate():
@@ -167,7 +167,7 @@ def test_reported_levels_revalidate():
     rng = np.random.default_rng(12)
     checked = 0
     while checked < 5:
-        cfg = PotentialConfig(*rng.uniform(-4, 4, size=3), 1.0)
+        cfg = PotentialConfig(*rng.uniform(-4, 4, size=3))
         geom = Geometry.centered(rng.uniform(0.3, 2.0))
         if abs(cfg.va) < 1.2 and not cfg.on_plane_a():
             continue
@@ -183,25 +183,13 @@ def test_grid_refinement_stability():
     # the scan grid must reproduce it exactly
     for cfg, geom in (
         (FIG3_CFG, FIG3_GEOM),
-        (PotentialConfig(5.0, 5.0, 5.0, 1.0), Geometry.centered(1.0)),
-        (PotentialConfig(3.0, 1.0, 0.0, 1.0), Geometry.centered(1.5)),
+        (PotentialConfig(5.0, 5.0, 5.0), Geometry.centered(1.0)),
+        (PotentialConfig(3.0, 1.0, 0.0), Geometry.centered(1.5)),
     ):
         a = find_bound_states(cfg, geom, n_grid=4000)
         b = find_bound_states(cfg, geom, n_grid=8000)
         assert len(a) == len(b)
         assert np.allclose([s.energy for s in a], [s.energy for s in b], atol=1e-10)
-
-
-def test_mass_scaling_invariance():
-    # E(m) = m E(1) when strengths scale with m and l with 1/m
-    base = find_bound_states(FIG3_CFG, FIG3_GEOM)
-    m = 2.5
-    scaled_cfg = PotentialConfig(3.0 * m, 3.0 * m, 3.0 * m, m)
-    scaled = find_bound_states(scaled_cfg, Geometry.centered(0.5 / m))
-    assert len(base) == len(scaled)
-    for a, b in zip(base, scaled):
-        assert b.energy == pytest.approx(m * a.energy, rel=1e-9)
-        assert b.parity == a.parity
 
 
 def test_particle_hole_mirror_negates_spectrum():
@@ -210,7 +198,7 @@ def test_particle_hole_mirror_negates_spectrum():
     # E to -E with the same parity
     levels = 0
     for cfg, geom in random_configs(42, 60):
-        mirror = PotentialConfig(-cfg.v33, -cfg.v22, -cfg.v11, cfg.m)
+        mirror = PotentialConfig(-cfg.v33, -cfg.v22, -cfg.v11)
         sols, mirrored = find_bound_states(cfg, geom), find_bound_states(mirror, geom)
         for p in "+-":
             e = np.sort([s.energy for s in sols if s.parity == p])
@@ -240,9 +228,9 @@ def _ref_k2(cfg, e):
 
 def _ref_both(cfg, geom, e):
     k2 = _ref_k2(cfg, e)
-    m, v2, half = cfg.m, cfg.v2, 0.5 * geom.l
+    v2, half = cfg.v2, 0.5 * geom.l
     v2_zero = abs(v2) <= 1e-14 * cfg.scale()
-    kap = np.sqrt((m - e) * (m + e))
+    kap = np.sqrt((1.0 - e) * (1.0 + e))
     with np.errstate(over="ignore", invalid="ignore"):
         s2, c2 = sc_kernels(k2, half)
         ratio = sc_ratio(np.minimum(k2, 0.0), half)
@@ -327,12 +315,11 @@ def _ref_refine(func, brackets, xtol, polish=2):
 
 
 def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
-    m = cfg.m
-    lo, hi = -m + EDGE_MARGIN * m, m - EDGE_MARGIN * m
-    windows = [(-ZERO_WINDOW * m, ZERO_WINDOW * m)]
+    lo, hi = -1.0 + EDGE_MARGIN, 1.0 - EDGE_MARGIN
+    windows = [(-ZERO_WINDOW, ZERO_WINDOW)]
     centers = [0.0]
-    if abs(cfg.va) < m:
-        windows.append((cfg.va - VA_WINDOW * m, cfg.va + VA_WINDOW * m))
+    if abs(cfg.va) < 1.0:
+        windows.append((cfg.va - VA_WINDOW, cfg.va + VA_WINDOW))
         centers.append(cfg.va)
     windows.extend(extra_exclusions)
     segments = rootfind.subtract_windows(lo, hi, windows)
@@ -342,14 +329,14 @@ def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
         def fun(x):
             return _ref_both(cfg, geom, np.asarray(x, dtype=float))[i]
 
-        roots, fr = _ref_refine(fun, _ref_brackets(fun, segments, 4000), ROOT_XTOL * m)
-        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL * m)
+        roots, fr = _ref_refine(fun, _ref_brackets(fun, segments, 4000), ROOT_XTOL)
+        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL)
         for r, f in zip(roots, fr):
-            if lo < r < hi and not any(abs(r - c) < 3e-10 * m for c in centers):
-                rho = float(np.sqrt((m - r) / (m + r)))
+            if lo < r < hi and not any(abs(r - c) < 3e-10 for c in centers):
+                rho = float(np.sqrt((1.0 - r) / (1.0 + r)))
                 k2 = float(_ref_k2(cfg, r))
                 out.append(
-                    BoundStateSolution(float(r), parity, float(kappa(r, m)), rho, k2, float(abs(f)))
+                    BoundStateSolution(float(r), parity, float(kappa(r)), rho, k2, float(abs(f)))
                 )
     out.sort(key=lambda s: s.energy)
     return out
@@ -380,7 +367,7 @@ def test_batched_solver_matches_per_parity_reference():
             assert g == w, (cfg, g, w)
 
 
-def test_scan_residuals_hold_one_form_and_one_mass():
+def test_scan_residuals_hold_one_form():
     # a block of configurations is one unmasked residual form: fig6 at V = 0
     # sits on plane AB (with v2 = 0), at V = 1 off the planes
     fig6 = PencilSpec("P2", 1.0, 1.0, -1.0)
@@ -392,8 +379,6 @@ def test_scan_residuals_hold_one_form_and_one_mass():
     fig8 = PencilSpec("P1", 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="one form"):
         _ScanResiduals.of([fig8.config(1.0), fig8.config(0.0)], geom)
-    with pytest.raises(ValueError, match="mass"):
-        _ScanResiduals.of([fig6.config(1.0, m=1.0), fig6.config(1.0, m=2.0)], geom)
 
 
 def test_solver_emits_no_warnings():
@@ -433,8 +418,8 @@ def _solutions():
     out = []
     for cfg, geom in (
         (FIG3_CFG, FIG3_GEOM),
-        (PotentialConfig(-2.0, 1.5, 1.0, 1.0), Geometry.centered(1.5)),
-        (PotentialConfig(1.0, -2.0, -4.0, 1.0), Geometry(0.3, 1.8)),
+        (PotentialConfig(-2.0, 1.5, 1.0), Geometry.centered(1.5)),
+        (PotentialConfig(1.0, -2.0, -4.0), Geometry(0.3, 1.8)),
     ):
         sols = [
             s
@@ -482,7 +467,7 @@ def test_eigenfunction_peak_normalization():
 
 def test_eigenfunction_rejects_foreign_solution():
     sols = find_bound_states(FIG3_CFG, FIG3_GEOM)
-    other = PotentialConfig(0.0, 5.0, 1.0, 1.0)
+    other = PotentialConfig(0.0, 5.0, 1.0)
     with pytest.raises(OutOfDomainSolution):
         eigenfunction(sols[0], other, FIG3_GEOM, np.linspace(-1, 1, 5))
 
@@ -504,7 +489,7 @@ def test_discontinuity_factor_is_mass_for_equal_renormalized_outer():
     # (resp. m k2 s(k2,l/2)/kappa for the odd family)
     from triband.model import sc_kernels
 
-    cfg = PotentialConfig(-0.5, 0.9, 1.5, 1.0)  # v33 - v11 = 2m
+    cfg = PotentialConfig(-0.5, 0.9, 1.5)  # v33 - v11 = 2
     assert cfg.on_plane_b()
     geom = Geometry.centered(1.2)
     for sol in find_bound_states(cfg, geom)[:3]:
@@ -516,7 +501,7 @@ def test_discontinuity_factor_is_mass_for_equal_renormalized_outer():
 
 def test_discontinuity_vanishes_for_equal_outer_strengths():
     # v1 = v3 makes mu = m exactly; v11 = v33 = 0 makes mu = 0
-    cfg = PotentialConfig(0.0, 10.0, 0.0, 1.0)
+    cfg = PotentialConfig(0.0, 10.0, 0.0)
     geom = Geometry.centered(2.0)
     isolated = [s for s in find_bound_states(cfg, geom) if abs(s.energy - cfg.va) > 0.1]
     for sol in isolated[:4]:

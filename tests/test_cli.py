@@ -61,6 +61,57 @@ def test_boundstates_preset(tmp_path):
     assert vals["-"] == pytest.approx(-0.65, abs=0.01)
 
 
+def test_mass_rescales_the_inputs_only(tmp_path):
+    # E(m; V, l) = m E(1; V/m, m l): fig3 (V = 3, l = 0.5) given at m = 2.5
+    # is the same input in units of m and writes the same bytes
+    fig3, scaled = tmp_path / "fig3.csv", tmp_path / "scaled.csv"
+    assert main(["boundstates", "--preset", "fig3", "--out", str(fig3)]) == 0
+    argv = ["boundstates", "--v", "7.5,7.5,7.5", "--m", "2.5", "--l", "0.2", "--out", str(scaled)]
+    assert main(argv) == 0
+    assert scaled.read_bytes() == fig3.read_bytes()
+
+
+def test_boundstates_flags_override_the_preset(tmp_path):
+    fig3, preset, plain = (tmp_path / f"{n}.csv" for n in ("fig3", "preset", "plain"))
+    flags = ["--v", "1,1,1", "--m", "2", "--l", "7"]
+    assert main(["boundstates", "--preset", "fig3", "--out", str(fig3)]) == 0
+    assert main(["boundstates", "--preset", "fig3", *flags, "--out", str(preset)]) == 0
+    assert main(["boundstates", *flags, "--out", str(plain)]) == 0
+    assert preset.read_bytes() == plain.read_bytes()
+    assert preset.read_bytes() != fig3.read_bytes()
+
+
+def test_sweep_flags_override_the_preset(tmp_path):
+    fig6, preset, plain = (tmp_path / f"{n}.csv" for n in ("fig6", "preset", "plain"))
+    grid = ["--vmin", "2", "--vmax", "3", "--nv", "3"]
+    assert main(["sweep", "--preset", "fig6", *grid, "--out", str(fig6)]) == 0
+    assert main(["sweep", "--preset", "fig6", "--l", "5", *grid, "--out", str(preset)]) == 0
+    pencil = ["--vertex", "P2", "--alphas", "1,1,-1", "--l", "5"]
+    assert main(["sweep", *pencil, *grid, "--out", str(plain)]) == 0
+    assert preset.read_bytes() == plain.read_bytes()
+    assert preset.read_bytes() != fig6.read_bytes()
+    manifest = json.loads((tmp_path / "preset.csv.manifest.json").read_text())
+    assert manifest["pencil"] == {"vertex": "P2", "alphas": [1.0, 1.0, -1.0], "l": 5.0}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--preset", "table1", "--g", "5", "--set", "W1"],
+        ["--preset", "table1", "--family", "l2"],
+        ["--preset", "fig10", "--n", "1"],
+        ["--preset", "fig10", "--parity", "+"],
+        ["--preset", "fig11", "--converge"],
+        ["--preset", "fig11", "--l0", "0.5", "--levels", "3"],
+    ],
+)
+def test_pointlimit_preset_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pointlimit", *argv])
+    assert exc.value.code == 1
+    assert "reads none of" in capsys.readouterr().err
+
+
 def test_sweep_preset_manifest(tmp_path):
     out = tmp_path / "sw.csv"
     code = main(
@@ -88,7 +139,7 @@ def test_pointlimit_ladder(tmp_path):
 
 def test_pointlimit_table_preset(tmp_path):
     out = tmp_path / "table1.json"
-    code = main(["pointlimit", "--preset", "table1", "--g", "2", "--out", str(out)])
+    code = main(["pointlimit", "--preset", "table1", "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
     sets = {(e["set"], e["family"]) for e in payload["entries"]}

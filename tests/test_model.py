@@ -16,21 +16,20 @@ from triband.verify import random_configs
 
 
 def test_renormalization_identities():
-    cfg = PotentialConfig(0.7, -1.2, 2.5, m=1.3)
-    assert cfg.v1 - cfg.v11 == cfg.m
-    assert cfg.v33 - cfg.v3 == cfg.m
+    cfg = PotentialConfig(0.7, -1.2, 2.5)
+    assert cfg.v1 == cfg.v11 + 1.0
+    assert cfg.v2 == cfg.v22
+    assert cfg.v3 == cfg.v33 - 1.0
     assert cfg.va == 0.5 * (cfg.v1 + cfg.v3)
 
 
-def test_mass_must_be_positive():
-    with pytest.raises(ValueError):
-        PotentialConfig(0, 0, 0, m=-1.0)
+def test_geometry_needs_x1_below_x2():
     with pytest.raises(ValueError):
         Geometry(1.0, 0.5)
 
 
 def test_k_squared_free_particle_gap():
-    cfg = PotentialConfig(0, 0, 0, 1.0)
+    cfg = PotentialConfig(0, 0, 0)
     assert k_squared(cfg, 0.5) == pytest.approx(-0.75, abs=1e-14)
 
 
@@ -42,7 +41,7 @@ def test_k_squared_equal_renormalized_strengths():
 
 
 def test_k_squared_pole_raises():
-    cfg = PotentialConfig(1.0, 0.3, -0.2, 1.0)
+    cfg = PotentialConfig(1.0, 0.3, -0.2)
     assert abs(cfg.v2 - cfg.va) > 1e-6  # off the removable-pole plane
     with pytest.raises(PoleAtVa):
         k_squared(cfg, cfg.va)
@@ -56,7 +55,7 @@ def test_k_squared_pole_raises():
 )
 @settings(max_examples=200, deadline=None)
 def test_k_squared_solves_dispersion_identity(v11, v22, v33, e):
-    cfg = PotentialConfig(v11, v22, v33, 1.0)
+    cfg = PotentialConfig(v11, v22, v33)
     if abs(e - cfg.va) < 1e-3 or abs(cfg.v2 - cfg.va) < 1e-6:
         return
     k2 = k_squared(cfg, e)
@@ -67,16 +66,15 @@ def test_k_squared_solves_dispersion_identity(v11, v22, v33, e):
 
 def test_level_fields_satisfy_rho_kappa_identities():
     checked = 0
-    for m in (1.0, 2.5):
-        for cfg, geom in random_configs(42, 20, m=m):
-            for sol in find_bound_states(cfg, geom):
-                e = sol.energy
-                assert sol.kappa == kappa(e, m)
-                assert sol.rho * sol.rho == pytest.approx((m - e) / (m + e), rel=1e-13)
-                rho_inv = 1.0 / sol.rho
-                assert rho_inv - sol.rho == pytest.approx(2 * e / sol.kappa, rel=1e-13, abs=1e-13)
-                assert rho_inv + sol.rho == pytest.approx(2 * m / sol.kappa, rel=1e-13)
-                checked += 1
+    for cfg, geom in random_configs(42, 20):
+        for sol in find_bound_states(cfg, geom):
+            e = sol.energy
+            assert sol.kappa == kappa(e)
+            assert sol.rho * sol.rho == pytest.approx((1 - e) / (1 + e), rel=1e-13)
+            rho_inv = 1.0 / sol.rho
+            assert rho_inv - sol.rho == pytest.approx(2 * e / sol.kappa, rel=1e-13, abs=1e-13)
+            assert rho_inv + sol.rho == pytest.approx(2 / sol.kappa, rel=1e-13)
+            checked += 1
     assert checked > 100
 
 

@@ -7,7 +7,7 @@ from triband.model import Geometry, PotentialConfig, k_squared, kappa
 from triband.oracle import oracle_bound_states, resolvable_va_window
 from triband.verify import comparison_domain, crosscheck_config
 
-FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0, 1.0)
+FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0)
 FIG3_GEOM = Geometry.centered(0.5)
 
 
@@ -30,7 +30,7 @@ def test_mismatch_away_from_levels():
 
 
 def test_oracle_free_potential_empty():
-    assert oracle_bound_states(PotentialConfig(0, 0, 0, 1.0), Geometry.centered(1.0)) == []
+    assert oracle_bound_states(PotentialConfig(0, 0, 0), Geometry.centered(1.0)) == []
 
 
 def test_oracle_reference_levels():
@@ -49,7 +49,7 @@ def test_step_halving_stability():
 
 
 def test_oracle_matches_solver_on_middle_barrier():
-    cfg = PotentialConfig(0.0, 10.0, 0.0, 1.0)
+    cfg = PotentialConfig(0.0, 10.0, 0.0)
     geom = Geometry.centered(2.0)
     excl = comparison_domain(cfg, geom)
     solver = [s.energy for s in find_bound_states(cfg, geom, extra_exclusions=excl)]
@@ -62,7 +62,7 @@ def test_crosscheck_random_sample():
     rng = np.random.default_rng(5)
     checked = 0
     while checked < 4:
-        cfg = PotentialConfig(*rng.uniform(-5, 5, size=3), 1.0)
+        cfg = PotentialConfig(*rng.uniform(-5, 5, size=3))
         geom = Geometry.centered(rng.uniform(0.2, 3.0))
         ok, ns, no, diff = crosscheck_config(cfg, geom)
         assert ok, f"{cfg} {geom}: counts {ns}/{no}, diff {diff}"
@@ -71,8 +71,8 @@ def test_crosscheck_random_sample():
 
 def test_resolvable_window_only_for_in_gap_pole():
     assert resolvable_va_window(FIG3_CFG, FIG3_GEOM) == 0.0  # va = 3 outside gap
-    assert resolvable_va_window(PotentialConfig(5, 5, 5, 1.0), Geometry.centered(1.0)) == 0.0
-    w = resolvable_va_window(PotentialConfig(0.0, 10.0, 0.0, 1.0), Geometry.centered(2.0))
+    assert resolvable_va_window(PotentialConfig(5, 5, 5), Geometry.centered(1.0)) == 0.0
+    w = resolvable_va_window(PotentialConfig(0.0, 10.0, 0.0), Geometry.centered(2.0))
     assert w > 0.0
 
 
@@ -100,7 +100,7 @@ def _mismatches(cfg, geom, e, n_steps):
     """Full-span cross product with the right decaying ray, then the two
     midpoint parity mismatches."""
     u, v = oracle._rk4(cfg, e, *oracle._left_ray(cfg, e), geom.l, n_steps)
-    ru, rv = 2.0 * e / kappa(e, cfg.m), -np.sqrt(2.0)
+    ru, rv = 2.0 * e / kappa(e), -np.sqrt(2.0)
     full = (u * rv - v * ru) / np.hypot(u, v) / np.hypot(ru, rv)
     return np.stack([full, *oracle._parity_mismatches(cfg, geom, e, n_steps)])
 
@@ -120,7 +120,7 @@ def test_powered_rk4_matches_stepwise_loop(monkeypatch):
     regimes = set()
     near_pole = 0
     for _ in range(8):
-        cfg = PotentialConfig(*rng.uniform(-5, 5, size=3), 1.0)
+        cfg = PotentialConfig(*rng.uniform(-5, 5, size=3))
         geom = Geometry.centered(rng.uniform(0.2, 3.0))
         e = rng.uniform(-0.999, 0.999, size=100)
         if abs(cfg.va) < 1.0:
@@ -138,7 +138,7 @@ def test_powered_rk4_matches_stepwise_loop(monkeypatch):
             _assert_matches_stepwise(monkeypatch, cfg, geom, e, n_steps)
     assert regimes >= {-1.0, 1.0} and near_pole > 0
     # kappa ~ 40, so kappa l ~ 800: the unscaled growth e^800 overflows doubles
-    cfg = PotentialConfig(40.0, -40.0, 40.0, 1.0)
+    cfg = PotentialConfig(40.0, -40.0, 40.0)
     e = np.linspace(-0.99, 0.99, 41)
     assert np.all(k_squared(cfg, e) < -1500.0)
     _assert_matches_stepwise(monkeypatch, cfg, Geometry.centered(20.0), e, 2000)

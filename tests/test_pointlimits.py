@@ -26,7 +26,7 @@ P_PENCIL = PencilSpec("P1", 1.0, 1.0, 1.0)
 D_PENCIL = PencilSpec("P2", -1.0, 1.0, -1.0)
 
 
-def boundary_connection_residual(pi, parity, m=1.0):
+def boundary_connection_residual(pi, parity):
     """Residual of Lambda_n applied to the squeezed boundary columns.
 
     The left boundary column is (2E/kappa, sqrt(2)); Lambda_n must map it to
@@ -34,7 +34,7 @@ def boundary_connection_residual(pi, parity, m=1.0):
     '-' state.
     """
     e = pi.e_n
-    kap = np.sqrt((m - e) * (m + e))
+    kap = np.sqrt((1.0 - e) * (1.0 + e))
     left = np.array([2.0 * e / kap, SQRT2])
     target = np.array([-2.0 * e / kap, SQRT2]) if parity == "+" else np.array(
         [2.0 * e / kap, -SQRT2]

@@ -5,7 +5,7 @@ import pytest
 
 from triband import spectra
 from triband.boundstates import BoundStateSolution, find_bound_states
-from triband.cli import SWEEP_PRESETS
+from triband.cli import PRESETS
 from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
 from triband.spectra import (
@@ -106,8 +106,8 @@ def test_asymptotic_laws_are_the_one_point_limits():
                     pred = asymptotic_energy(stype, v, geom, n=n)["n"]
                     assert pred == pytest.approx(limit_energy(pencil, law, n=n), rel=1e-14)
     # every other (V, l) -> g mapping: the delta law at g = V l for the ground
-    # levels (H2, W1, and W2 at V < 0), two_thirds at g = V (l^2/m)^(1/3) for
-    # the H1 ladder and inv_square at g = V l^2 m for the H2 and W2 ladders
+    # levels (H2, W1, and W2 at V < 0), two_thirds at g = V l^(2/3) for
+    # the H1 ladder and inv_square at g = V l^2 for the H2 and W2 ladders
     for alphas, vertex, vs, ns in (
         ((0, 1, 0), "P1", (50.0, -200.0, 3.0), (0, 1, 2, 3)),
         ((1, 0, 1), "P1", (100.0, -150.0, 0.7), (0,)),
@@ -118,19 +118,19 @@ def test_asymptotic_laws_are_the_one_point_limits():
     ):
         pencil = PencilSpec(vertex, *alphas)
         stype = classify(pencil)
-        for (l, m), v, n in itertools.product(((0.5, 1.0), (2.0, 1.0), (2.0, 2.5)), vs, ns):
+        for l, v, n in itertools.product((0.5, 2.0), vs, ns):
             if n == 0:
                 law = SqueezeLaw("delta", v * l)
             elif stype.tag == "H1":
-                law = SqueezeLaw("two_thirds", v * (l * l / m) ** (1.0 / 3.0))
+                law = SqueezeLaw("two_thirds", v * (l * l) ** (1.0 / 3.0))
             else:
-                law = SqueezeLaw("inv_square", v * l * l * m)
+                law = SqueezeLaw("inv_square", v * l * l)
             try:
-                lim = limit_energy(pencil, law, n=n, m=m)
+                lim = limit_energy(pencil, law, n=n)
             except OutOfValidityWindow:
                 continue  # outside the ladder's validity window
             geom = Geometry.centered(l)
-            pred = asymptotic_energy(stype, v, geom, n=n, m=m, alpha=pencil.alpha1)["n"]
+            pred = asymptotic_energy(stype, v, geom, n=n, alpha=pencil.alpha1)["n"]
             assert pred == pytest.approx(lim, rel=1e-14)
 
 
@@ -287,8 +287,9 @@ def test_batched_sweep_matches_per_v_solves():
     # V = 0 is a block of its own between two runs of 30 V points; fig8
     # keeps v2 = 0 throughout
     for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"):
-        vertex, alphas, l = SWEEP_PRESETS[name]
-        cases.append((PencilSpec(vertex, *alphas), Geometry.centered(l), np.linspace(-12, 12, 61)))
+        preset = PRESETS["sweep"][name]
+        pencil, geom = PencilSpec(preset["vertex"], *preset["alphas"]), Geometry.centered(preset["l"])
+        cases.append((pencil, geom, np.linspace(-12, 12, 61)))
     cases.append((*fig6, np.linspace(-3.0, 5.0, 21)))  # 21 = 16 + 5 points
     cases.append((*fig6, [0.5]))
     for pencil, geom, v_grid in cases:
