@@ -179,26 +179,21 @@ def sc_kernels(w, t):
 
     Continued to w < 0 as sinh/cosh of sqrt(-w) t; both are entire functions
     of w, evaluated through a series for |w| t^2 < 1e-6.  Elementwise in both
-    arguments.
+    arguments, each branch (trig, hyperbolic, series) on its own points only.
     """
-    w = np.asarray(w, dtype=float)
-    t = np.asarray(t, dtype=float)
+    w, t = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(t, dtype=float))
     u = w * t * t
-    q = np.sqrt(np.abs(w))
-    z = q * t
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_pos = np.where(q > 0, np.sin(z) / np.where(q == 0, 1.0, q), t)
-        c_pos = np.cos(z)
-        s_neg = np.where(q > 0, np.sinh(z) / np.where(q == 0, 1.0, q), t)
-        c_neg = np.cosh(z)
-    s = np.where(u >= 0, s_pos, s_neg)
-    c = np.where(u >= 0, c_pos, c_neg)
+    s, c = np.empty_like(u), np.empty_like(u)
     small = np.abs(u) < 1e-6
-    if np.any(small):
-        s_ser = t * (1.0 - u / 6.0 + u * u / 120.0)
-        c_ser = 1.0 - u / 2.0 + u * u / 24.0
-        s = np.where(small, s_ser, s)
-        c = np.where(small, c_ser, c)
+    trig = ~small & (u >= 0)
+    for pick, sin, cos in ((trig, np.sin, np.cos), (~small & ~trig, np.sinh, np.cosh)):
+        q = np.sqrt(np.abs(w[pick]))
+        z = q * t[pick]
+        s[pick] = sin(z) / q
+        c[pick] = cos(z)
+    us, ts = u[small], t[small]
+    s[small] = ts * (1.0 - us / 6.0 + us * us / 120.0)
+    c[small] = 1.0 - us / 2.0 + us * us / 24.0
     if s.ndim == 0:
         return float(s), float(c)
     return s, c
@@ -210,15 +205,13 @@ def sc_ratio(w, t):
     Only meaningful where c does not vanish, i.e. for w <= 0 where
     c = cosh >= 1; used to normalize residuals in the imaginary-k region.
     """
-    w = np.asarray(w, dtype=float)
-    t = np.asarray(t, dtype=float)
-    q = np.sqrt(np.abs(w))
-    z = q * t
-    with np.errstate(invalid="ignore"):
-        r = np.where(q > 0, np.tanh(z) / np.where(q == 0, 1.0, q), t)
-    small = np.abs(w * t * t) < 1e-6
-    if np.any(small):
-        r = np.where(small, t * (1.0 + w * t * t / 3.0), r)
+    w, t = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(t, dtype=float))
+    u = w * t * t
+    r = np.empty_like(u)
+    small = np.abs(u) < 1e-6
+    q = np.sqrt(np.abs(w[~small]))
+    r[~small] = np.tanh(q * t[~small]) / q
+    r[small] = t[small] * (1.0 + u[small] / 3.0)
     if r.ndim == 0:
         return float(r)
     return r

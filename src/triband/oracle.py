@@ -22,7 +22,9 @@ formed by binary powering of that matrix (`_rk4`): the same iterate as
 stepping, in O(log n_steps) array operations per energy batch, with no
 trigonometry, matrix exponential or eigen-decomposition.  Fixed steps are
 adequate as long as |k| h stays small; callers probing large wave numbers
-should raise n_steps, and the work grows only as log n_steps.
+should raise n_steps, and the work grows only as log n_steps.  The module only
+integrates and scans; verify.comparison_domain decides where its levels are
+compared with the solver's.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import rootfind
-from .boundstates import VA_WINDOW, scan_segments
-from .model import REDUCE_RTOL, Geometry, PotentialConfig, kappa
+from .boundstates import scan_segments
+from .model import Geometry, PotentialConfig, kappa
 
 ORACLE_XTOL = 1e-10  # bisection tolerance
 # RK4 steps and scan points of the solver-versus-oracle comparison
@@ -99,8 +101,8 @@ def _parity_mismatches(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_st
 def oracle_bound_states(
     cfg: PotentialConfig,
     geom: Geometry,
-    n_grid: int = 4000,
-    n_steps: int = 2000,
+    n_grid: int = N_GRID,
+    n_steps: int = N_STEPS,
     extra_exclusions=(),
 ) -> list[float]:
     """Grid-scan the midpoint parity mismatches u(a) and v(a) over the gap
@@ -131,28 +133,3 @@ def oracle_bound_states(
         roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL)
         out.extend(float(r) for r in roots)
     return sorted(out)
-
-
-def resolvable_va_window(cfg: PotentialConfig, geom: Geometry) -> float:
-    """Half-width around va inside which neither solver resolves levels.
-
-    When va lies in the gap (off the plane v2 = va), k^2 ~ F(va)/(E - va)
-    diverges and genuine levels accumulate at va without bound.  Fixed-step
-    RK4 loses phase accuracy once |k| h grows, and any finite grid stops
-    separating the accumulating roots, so count comparisons are meaningful
-    only outside a configuration-dependent window.  Returns 0.0 when there is
-    no in-gap accumulation point.  Sized for the comparison resolution,
-    N_STEPS RK4 steps and N_GRID scan points.
-    """
-    if cfg.on_plane_a(REDUCE_RTOL) or not abs(cfg.va) < 1.0:
-        return 0.0
-    f_va = abs((cfg.va - cfg.v1) * (cfg.va - cfg.v2) * (cfg.va - cfg.v3))
-    if f_va == 0:
-        return 0.0
-    # RK4 phase accuracy: keep |k| h below ~0.2
-    k_cap = 0.2 * N_STEPS / geom.l
-    d_rk4 = f_va / k_cap**2
-    # grid resolvability: consecutive-root spacing ~ 4 pi d^{3/2} / (l sqrt(F))
-    de = 2.0 / N_GRID
-    d_grid = (4.0 * de * geom.l * np.sqrt(f_va) / np.pi) ** (2.0 / 3.0)
-    return float(2.0 * max(d_rk4, d_grid, VA_WINDOW))

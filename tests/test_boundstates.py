@@ -381,6 +381,33 @@ def test_scan_residuals_hold_one_form():
         _ScanResiduals.of([fig8.config(1.0), fig8.config(0.0)], geom)
 
 
+def _phase_index(cfg, geom, sol):
+    """phi/(pi/2) of a level with k^2 > 0, phi = k l/2 + atan2(E k, kappa (E - v2)).
+
+    Then E r_plus = R sin(phi) and E r_minus = R cos(phi) with R > 0, so a '+'
+    level sits at an even multiple of pi/2 and a '-' level at an odd one.
+    """
+    k = math.sqrt(sol.k2)
+    phi = k * geom.l / 2.0 + math.atan2(sol.energy * k, sol.kappa * (sol.energy - cfg.v2))
+    return phi / (math.pi / 2.0)
+
+
+def test_every_level_sits_on_a_phase_index_of_its_parity():
+    fig6 = PencilSpec("P2", 1.0, 1.0, -1.0)
+    cases = random_configs(7, 300) + [(fig6.config(v), Geometry.centered(2.0)) for v in (3.0, 12.0)]
+    checked = 0
+    for cfg, geom in cases:
+        for sol in find_bound_states(cfg, geom):
+            if not sol.k2 > 0.0:
+                continue
+            index = _phase_index(cfg, geom, sol)
+            j = round(index)
+            assert abs(index - j) < 1e-6, (cfg, geom, sol, index)
+            assert (j % 2 == 0) == (sol.parity == "+"), (cfg, geom, sol, j)
+            checked += 1
+    assert checked > 10000
+
+
 def test_solver_emits_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -110,3 +110,20 @@ def test_sc_kernels_match_trig_and_hyperbolic():
     s, c = sc_kernels(-9.0, 0.4)
     assert s == pytest.approx(np.sinh(3 * 0.4) / 3.0, rel=1e-14)
     assert c == pytest.approx(np.cosh(3 * 0.4), rel=1e-14)
+    # one call mixing the trig, hyperbolic and series branches (w = 0
+    # included) gives each point the value of its own branch; the trig point
+    # at w = 1e6 would overflow cosh if the hyperbolic branch ran on it
+    w = np.array([4.0, -9.0, 0.0, 1e-9, 1e6])
+    s, c = sc_kernels(w, np.array([0.7, 0.4, 0.5, 0.5, 1.0]))
+    assert s[:2] == pytest.approx([np.sin(1.4) / 2.0, np.sinh(1.2) / 3.0], rel=1e-14)
+    assert c[:2] == pytest.approx([np.cos(1.4), np.cosh(1.2)], rel=1e-14)
+    assert s[2] == 0.5 and c[2] == 1.0
+    assert s[3] == pytest.approx(0.5, rel=1e-9) and c[3] == pytest.approx(1.0, rel=1e-9)
+    assert s[4] == np.sin(1e3) / 1e3 and c[4] == np.cos(1e3)
+
+
+def test_sc_kernels_overflow_is_reported():
+    # cosh(1000) overflows; no errstate hides that from the caller
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _, c = sc_kernels(-1e6, 1.0)
+    assert np.isinf(c)

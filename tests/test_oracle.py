@@ -1,14 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from triband import oracle
+from triband import oracle, verify
 from triband.boundstates import find_bound_states
 from triband.model import Geometry, PotentialConfig, k_squared, kappa
-from triband.oracle import oracle_bound_states, resolvable_va_window
-from triband.verify import comparison_domain, crosscheck_config
+from triband.oracle import oracle_bound_states
+from triband.verify import comparison_domain, crosscheck_config, random_configs
 
 FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0)
 FIG3_GEOM = Geometry.centered(0.5)
+POOL_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "solve_pool.json"
 
 
 def _fig3_mismatches(e):
@@ -69,11 +73,51 @@ def test_crosscheck_random_sample():
         checked += 1
 
 
-def test_resolvable_window_only_for_in_gap_pole():
-    assert resolvable_va_window(FIG3_CFG, FIG3_GEOM) == 0.0  # va = 3 outside gap
-    assert resolvable_va_window(PotentialConfig(5, 5, 5), Geometry.centered(1.0)) == 0.0
-    w = resolvable_va_window(PotentialConfig(0.0, 10.0, 0.0), Geometry.centered(2.0))
-    assert w > 0.0
+def test_comparison_domain_windows_the_crowded_levels():
+    # on plane A (v2 = va) k^2 has no pole at va: nothing to leave out
+    assert comparison_domain(FIG3_CFG, FIG3_GEOM) == []
+    assert comparison_domain(PotentialConfig(5, 5, 5), Geometry.centered(1.0)) == []
+    # the middle barrier's family accumulates at va = 0
+    [(lo, hi)] = comparison_domain(PotentialConfig(0.0, 10.0, 0.0), Geometry.centered(2.0))
+    assert lo == -hi and 0.0 < hi < 0.5
+    # the windows the benchmark references were computed on
+    pool = json.loads(POOL_REFS.read_text())["configs"]
+    for ref in pool[:4]:
+        cfg, geom = PotentialConfig(*ref["v"]), Geometry.centered(ref["l"])
+        assert comparison_domain(cfg, geom) == [tuple(w) for w in ref["exclude"]]
+    # va just outside the gap: the family crowds at the nearer gap edge,
+    # and the window, clipped to the gap, reaches into it from there
+    for seed, index, edge in ((3, 233, -1.0), (7, 163, 1.0)):
+        cfg, geom = random_configs(seed, 300)[index]
+        assert 1.0 < abs(cfg.va) < 1.001
+        [window] = comparison_domain(cfg, geom)
+        assert edge in window and abs(window[1] - window[0]) < 0.1
+
+
+@pytest.mark.parametrize("seed, index", [(3, 233), (7, 163)])
+def test_crosscheck_agrees_with_va_just_outside_the_gap(seed, index):
+    cfg, geom = random_configs(seed, 300)[index]
+    ok, ns, no, diff = crosscheck_config(cfg, geom)
+    assert ok, f"{cfg} {geom}: counts {ns}/{no}, diff {diff}"
+    assert ns > 10
+
+
+def test_oracle_agreement_names_the_excluded_windows(monkeypatch):
+    domains = [comparison_domain(cfg, geom) for cfg, geom in random_configs(42, 20)]
+    widest = max((hi - lo, i) for i, d in enumerate(domains) for lo, hi in d)[1]
+    ok, detail = verify.check_oracle_agreement(seed=42, cases=20)
+    assert ok
+    assert f"; {sum(map(bool, domains))} compared outside a window, widest (" in detail
+    assert detail.endswith(f" at case {widest}")
+    # a mismatch line names the window of its configuration
+    [(lo, hi)] = domains[widest]
+    calls = iter(range(20))
+    monkeypatch.setattr(
+        verify, "crosscheck_config", lambda cfg, geom: (next(calls) < widest, 3, 2, np.inf)
+    )
+    ok, detail = verify.check_oracle_agreement(seed=42, cases=20)
+    assert not ok and detail.startswith(f"mismatch at case {widest} (V = ")
+    assert detail.endswith(f"counts 3/2, diff inf, excluded windows: ({lo:.6g}, {hi:.6g})")
 
 
 def _stepwise_rk4(cfg, e, u, v, span, n_steps):
@@ -127,7 +171,7 @@ def test_powered_rk4_matches_stepwise_loop(monkeypatch):
             # |k| diverges at va.  Closer than ~1e-4 m the phase is so large
             # that both implementations round off an extended-precision
             # iterate by up to ~1e-10, so the 1e-11 bound is checked from there
-            # out (levels are compared only outside resolvable_va_window)
+            # out (levels are compared only outside comparison_domain)
             d = 10.0 ** rng.uniform(-4, -2, size=10)
             pole = np.concatenate([cfg.va - d, cfg.va + d])
             pole = pole[np.abs(pole) < 1.0]
