@@ -23,8 +23,7 @@ stepping, in O(log n_steps) array operations per energy batch, with no
 trigonometry, matrix exponential or eigen-decomposition.  Fixed steps are
 adequate as long as |k| h stays small; callers probing large wave numbers
 should raise n_steps, and the work grows only as log n_steps.  The module only
-integrates and scans; verify.comparison_domain decides where its levels are
-compared with the solver's.
+integrates and scans; verify.comparison_domain decides where it is compared.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def test_oracle_agreement_names_the_excluded_windows(monkeypatch):
     [(lo, hi)] = domains[widest]
     calls = iter(range(20))
     monkeypatch.setattr(
-        verify, "crosscheck_config", lambda cfg, geom: (next(calls) < widest, 3, 2, np.inf)
+        verify, "_crosscheck", lambda cfg, geom, excl: (next(calls) < widest, 3, 2, np.inf)
     )
     ok, detail = verify.check_oracle_agreement(seed=42, cases=20)
     assert not ok and detail.startswith(f"mismatch at case {widest} (V = ")
