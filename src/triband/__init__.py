@@ -15,7 +15,7 @@ from .bands import (
 from .boundstates import (
     BoundStateSolution,
     ConnectionMatrix,
-    WaveFunctionSample,
+    WaveFunction,
     connection_matrix,
     current,
     discontinuities,

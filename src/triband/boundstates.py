@@ -55,8 +55,10 @@ from .model import (
 ZERO_WINDOW = 1e-7
 VA_WINDOW = 1e-7
 EDGE_MARGIN = 1e-9
-# Bisection convergence for bound-state energies.
+# Bisection convergence for bound-state energies, and the default number of
+# scan points over the gap.
 ROOT_XTOL = 1e-12
+N_GRID = 4000
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,13 @@ class BoundStateSolution:
 
 
 @dataclass(frozen=True)
-class WaveFunctionSample:
-    x: float
-    psi1: float
-    psi2: float
-    psi3: float
+class WaveFunction:
+    """(psi1, psi2, psi3) sampled on the grid x: 1-D float arrays of one length."""
+
+    x: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    psi3: np.ndarray
 
 
 def connection_matrix(cfg: PotentialConfig, geom: Geometry, e: float) -> ConnectionMatrix:
@@ -337,7 +341,7 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
 def find_bound_states(
     cfg: PotentialConfig,
     geom: Geometry,
-    n_grid: int = 4000,
+    n_grid: int = N_GRID,
     extra_exclusions=(),
 ) -> list[BoundStateSolution]:
     """All bound-state levels in the gap, sorted by energy.
@@ -359,7 +363,7 @@ def find_bound_states(
     return _solve_block([cfg], geom, n_grid, extra_exclusions)[0]
 
 
-def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = 4000):
+def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = N_GRID):
     """find_bound_states of each configuration (sharing geom), float for float.
 
     Configurations are solved BLOCK_SIZE at a time: each is scanned on its
@@ -446,8 +450,8 @@ def eigenfunction(
     geom: Geometry,
     x_grid,
     normalize: str = "psi2_max",
-) -> list[WaveFunctionSample]:
-    """Sample the bound-state wave function on x_grid.
+) -> WaveFunction:
+    """The bound-state wave function sampled on x_grid.
 
     Interior points use the trigonometric form about the midpoint (continued
     kernels for imaginary k), exterior points the decaying rays
@@ -457,7 +461,7 @@ def eigenfunction(
     """
     _check_solution(sol, cfg, geom)
     e = sol.energy
-    x = np.asarray(x_grid, dtype=float)
+    x = np.array(x_grid, dtype=float)
     d = _exterior_amplitude(sol, geom)
 
     psi1 = np.empty_like(x)
@@ -483,10 +487,7 @@ def eigenfunction(
         scale = 1.0
     else:
         raise ValueError(f"unknown normalization {normalize!r}")
-    return [
-        WaveFunctionSample(float(xx), float(a * scale), float(b * scale), float(c * scale))
-        for xx, a, b, c in zip(x, psi1, psi2, psi3)
-    ]
+    return WaveFunction(x, psi1 * scale, psi2 * scale, psi3 * scale)
 
 
 def boundary_values(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
@@ -528,10 +529,7 @@ def discontinuities(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometr
     return float(d), float(d if sol.parity == "+" else -d)
 
 
-def current(sample: WaveFunctionSample) -> float:
-    """Net current j = psi^dag S_y psi at one sample; identically 0 for the
-    real-amplitude bound states in this gauge."""
-    psi1 = complex(sample.psi1)
-    psi2 = complex(sample.psi2)
-    psi3 = complex(sample.psi3)
-    return float(-SQRT2 * np.imag(np.conj(psi2) * (psi1 - psi3)))
+def current(psi1, psi2, psi3):
+    """Net current j = psi^dag S_y psi, elementwise over scalars or arrays, real
+    or complex; identically 0 for the real-amplitude bound states in this gauge."""
+    return -SQRT2 * np.imag(np.conj(psi2) * (psi1 - psi3))

@@ -10,6 +10,7 @@ sidecar.  Exit codes: 0 ok, 1 usage, 2 numerical domain, 3 verification failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__, io_utils
 from .bands import band_sweep, classify_flat
-from .boundstates import eigenfunction, find_bound_states
+from .boundstates import N_GRID, eigenfunction, find_bound_states
 from .model import DomainError, Geometry, PotentialConfig
 from .pointlimits import (
     SqueezeLaw,
@@ -85,15 +86,17 @@ def _checked(kind, ok, what):
     return parse
 
 
-_positive_float = _checked(float, lambda x: x > 0, "positive")
+_finite_float = _checked(float, math.isfinite, "finite")
+_positive_float = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+_nonzero_float = _checked(float, lambda x: x != 0 and math.isfinite(x), "nonzero and finite")
 _positive_int = _checked(int, lambda x: x > 0, "positive")
-_nonzero_float = _checked(float, lambda x: x != 0, "nonzero")
+_nonnegative_int = _checked(int, lambda x: x >= 0, "non-negative")
 
 
 def _triple(text: str):
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated strengths")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"expected three finite values a,b,c, got {text}")
     return tuple(parts)
 
 
@@ -152,6 +155,15 @@ def _geometry(args) -> Geometry:
     return Geometry.centered(args.l * args.m)
 
 
+WAVEFUNCTION_COLUMNS = ("x", "psi1", "psi2", "psi3")
+
+
+def _wavefunction_rows(label, e, wf):
+    """One CSV row (label, e, x, psi1, psi2, psi3) per grid point of wf."""
+    columns = np.column_stack([getattr(wf, name) for name in WAVEFUNCTION_COLUMNS])
+    return [(label, e, *row) for row in columns.tolist()]
+
+
 def cmd_boundstates(args):
     cfg = PotentialConfig(*(v / args.m for v in args.v))
     geom = _geometry(args)
@@ -163,11 +175,8 @@ def cmd_boundstates(args):
         x = np.linspace(geom.x1 - span, geom.x2 + span, args.nx)
         wrows = []
         for s in sols:
-            for smp in eigenfunction(s, cfg, geom, x):
-                wrows.append((s.parity, s.energy, smp.x, smp.psi1, smp.psi2, smp.psi3))
-        io_utils.write_csv(
-            args.wavefunction, ["parity", "E_b", "x", "psi1", "psi2", "psi3"], wrows
-        )
+            wrows += _wavefunction_rows(s.parity, s.energy, eigenfunction(s, cfg, geom, x))
+        io_utils.write_csv(args.wavefunction, ["parity", "E_b", *WAVEFUNCTION_COLUMNS], wrows)
     return 0, {"n_states": len(sols)}
 
 
@@ -248,9 +257,9 @@ def cmd_pointlimit(args):
         rows = []
         for par in ("+", "-"):
             e = limit_energy(pencil, law, parity=par)
-            for smp in squeezed_eigenfunction(pencil, law, parity=par, x_grid=x):
-                rows.append((par, e, smp.x, smp.psi1, smp.psi2, smp.psi3))
-        io_utils.write_csv(args.out, ["parity", "E_b", "x", "psi1", "psi2", "psi3"], rows)
+            wf = squeezed_eigenfunction(pencil, law, parity=par, x_grid=x)
+            rows += _wavefunction_rows(par, e, wf)
+        io_utils.write_csv(args.out, ["parity", "E_b", *WAVEFUNCTION_COLUMNS], rows)
         return 0, {}
     if args.preset == "fig11":
         pencil = PencilSpec(SET_PENCILS["H2"][0], *SET_PENCILS["H2"][1])
@@ -259,9 +268,9 @@ def cmd_pointlimit(args):
         rows = []
         for n in range(4):
             e = limit_energy(pencil, law, n=n)
-            for smp in squeezed_eigenfunction(pencil, law, n=n, x_grid=x):
-                rows.append((n, e, smp.x, smp.psi1, smp.psi2, smp.psi3))
-        io_utils.write_csv(args.out, ["n", "E_n", "x", "psi1", "psi2", "psi3"], rows)
+            wf = squeezed_eigenfunction(pencil, law, n=n, x_grid=x)
+            rows += _wavefunction_rows(n, e, wf)
+        io_utils.write_csv(args.out, ["n", "E_n", *WAVEFUNCTION_COLUMNS], rows)
         return 0, {}
 
     vertex, alphas = SET_PENCILS[args.set]
@@ -308,15 +317,15 @@ def build_parser():
     b = sub.add_parser("bands", help="three-band dispersion over a k grid")
     b.add_argument("--v", type=_triple, required=True, metavar="V11,V22,V33")
     b.add_argument("--m", type=_positive_float, default=1.0)
-    b.add_argument("--kmax", type=float, default=5.0)
+    b.add_argument("--kmax", type=_finite_float, default=5.0)
     b.add_argument("--nk", type=_positive_int, default=400)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bands)
 
     f = sub.add_parser("flat", help="flat-band plane membership of a strength triple")
-    f.add_argument("--v11", type=float, default=0.0)
-    f.add_argument("--v22", type=float, default=0.0)
-    f.add_argument("--v33", type=float, default=0.0)
+    f.add_argument("--v11", type=_finite_float, default=0.0)
+    f.add_argument("--v22", type=_finite_float, default=0.0)
+    f.add_argument("--v33", type=_finite_float, default=0.0)
     f.add_argument("--m", type=_positive_float, default=1.0)
     f.set_defaults(func=cmd_flat)
 
@@ -324,10 +333,10 @@ def build_parser():
     bs.add_argument("--v", type=_triple, default=(0.0, 0.0, 0.0), metavar="V11,V22,V33")
     bs.add_argument("--m", type=_positive_float, default=1.0)
     bs.add_argument("--l", type=_positive_float, default=1.0)
-    bs.add_argument("--x1", type=float, default=None)
-    bs.add_argument("--x2", type=float, default=None)
+    bs.add_argument("--x1", type=_finite_float, default=None)
+    bs.add_argument("--x2", type=_finite_float, default=None)
     bs.add_argument("--preset", choices=sorted(PRESETS["boundstates"]), default=None)
-    bs.add_argument("--ngrid", type=_positive_int, default=4000)
+    bs.add_argument("--ngrid", type=_positive_int, default=N_GRID)
     bs.add_argument("--wavefunction", default=None, help="also write samples to this CSV")
     bs.add_argument("--nx", type=_positive_int, default=801)
     bs.add_argument("--out", default=None)
@@ -339,10 +348,10 @@ def build_parser():
     sw.add_argument("--alphas", type=_triple, default=(1.0, 1.0, 1.0), metavar="a1,a2,a3")
     sw.add_argument("--l", type=_positive_float, default=1.0)
     sw.add_argument("--m", type=_positive_float, default=1.0)
-    sw.add_argument("--vmin", type=float, default=-12.0)
-    sw.add_argument("--vmax", type=float, default=12.0)
+    sw.add_argument("--vmin", type=_finite_float, default=-12.0)
+    sw.add_argument("--vmax", type=_finite_float, default=12.0)
     sw.add_argument("--nv", type=_positive_int, default=2400)
-    sw.add_argument("--ngrid", type=_positive_int, default=4000)
+    sw.add_argument("--ngrid", type=_positive_int, default=N_GRID)
     sw.add_argument("--out", default=None)
     sw.set_defaults(func=cmd_sweep)
 
@@ -361,7 +370,7 @@ def build_parser():
     pl.set_defaults(func=cmd_pointlimit)
 
     vf = sub.add_parser("verify", help="oracle cross-check and invariant suite")
-    vf.add_argument("--seed", type=int, default=42)
+    vf.add_argument("--seed", type=_nonnegative_int, default=42)
     vf.add_argument("--cases", type=_positive_int, default=20)
     vf.set_defaults(func=cmd_verify)
     return p, sub.choices

@@ -31,13 +31,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import rootfind
-from .boundstates import scan_segments
+from .boundstates import N_GRID, scan_segments
 from .model import Geometry, PotentialConfig, kappa
 
 ORACLE_XTOL = 1e-10  # bisection tolerance
-# RK4 steps and scan points of the solver-versus-oracle comparison
-N_STEPS = 2000
-N_GRID = 4000
+N_STEPS = 2000  # RK4 steps of the solver-versus-oracle comparison
 
 
 def _rk4(cfg: PotentialConfig, e: np.ndarray, u, v, span: float, n_steps: int):
@@ -125,10 +123,4 @@ def oracle_bound_states(
     refined = rootfind.refine_brackets(
         both, brackets[0] + brackets[1], xtol=ORACLE_XTOL, families=[len(b) for b in brackets]
     )
-    out = []
-    # deduplicated per parity: an exponentially split doublet can sit closer
-    # than the dedup tolerance
-    for roots, fr in refined:
-        roots, _ = rootfind.dedup_sorted(roots, fr, tol=5.0 * ORACLE_XTOL)
-        out.extend(float(r) for r in roots)
-    return sorted(out)
+    return sorted(float(r) for roots, _ in refined for r in roots)

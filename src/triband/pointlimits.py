@@ -29,7 +29,7 @@ import numpy as np
 
 from .boundstates import (
     ConnectionMatrix,
-    WaveFunctionSample,
+    WaveFunction,
     _exterior_ray,
     find_bound_states,
 )
@@ -223,7 +223,7 @@ def squeezed_eigenfunction(
     n: int = 0,
     x_grid=(),
     parity: str | None = None,
-) -> list[WaveFunctionSample]:
+) -> WaveFunction:
     """Two-sided exponential eigenfunction of the point interaction.
 
     The zero-width limit of the rectangle's wave function: its decaying rays
@@ -235,9 +235,9 @@ def squeezed_eigenfunction(
         raise UnsupportedCombination("no bound state in this limit")
     tag = classify(pencil).tag
     par = parity if tag in ("P", "D") else level_parity(tag, n)
-    x = np.asarray(x_grid, dtype=float)
+    x = np.array(x_grid, dtype=float)
     right = x > 0
     psi = np.empty((3, x.size))
     for side, is_right in ((~right, False), (right, True)):
         psi[:, side] = _exterior_ray(par, kappa(e), rho(e), 1.0, np.abs(x[side]), is_right)
-    return [WaveFunctionSample(*map(float, row)) for row in zip(x, *psi)]
+    return WaveFunction(x, *psi)

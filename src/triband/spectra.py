@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rootfind
-from .boundstates import find_bound_states_many
+from .boundstates import N_GRID, find_bound_states_many
 from .model import (
     Geometry,
     OutOfValidityWindow,
@@ -120,7 +120,7 @@ def sweep(
     pencil: PencilSpec,
     geom: Geometry,
     v_grid,
-    n_grid: int = 4000,
+    n_grid: int = N_GRID,
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
 

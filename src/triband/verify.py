@@ -13,6 +13,7 @@ import numpy as np
 
 from . import boundstates, oracle, pointlimits
 from .boundstates import (
+    N_GRID,
     VA_WINDOW,
     boundary_values,
     connection_matrix,
@@ -22,7 +23,7 @@ from .boundstates import (
     find_bound_states,
 )
 from .model import REDUCE_RTOL, Geometry, PoleAtVa, PotentialConfig
-from .oracle import N_GRID, N_STEPS
+from .oracle import N_STEPS
 from .pointlimits import SqueezeLaw
 from .spectra import PencilSpec
 
@@ -83,7 +84,7 @@ def crosscheck_config(cfg, geom):
 
 
 def _crosscheck(cfg, geom, excl):
-    sol = find_bound_states(cfg, geom, n_grid=N_GRID, extra_exclusions=excl)
+    sol = find_bound_states(cfg, geom, extra_exclusions=excl)
     e_solver = np.array([s.energy for s in sol])
     e_oracle = np.array(oracle.oracle_bound_states(cfg, geom, extra_exclusions=excl))
     if e_solver.size != e_oracle.size:
@@ -168,23 +169,11 @@ def check_parity_symmetry():
         # grid exactly antisymmetric about the midpoint: index i mirrors n-1-i
         u = np.linspace(geom.l / 240.0, 1.5 * geom.l, 120)
         t = np.concatenate([-u[::-1], [0.0], u])
-        samples = eigenfunction(sol, cfg, geom, geom.a + t, normalize="psi2_max")
-        n = len(samples)
-        for i in range(n):
-            s, mirror = samples[i], samples[n - 1 - i]
-            if sol.parity == "+":
-                err = max(
-                    abs(s.psi2 - mirror.psi2),
-                    abs(s.psi1 + mirror.psi1),
-                    abs(s.psi3 + mirror.psi3),
-                )
-            else:
-                err = max(
-                    abs(s.psi2 + mirror.psi2),
-                    abs(s.psi1 - mirror.psi1),
-                    abs(s.psi3 - mirror.psi3),
-                )
-            worst = max(worst, err)
+        wf = eigenfunction(sol, cfg, geom, geom.a + t, normalize="psi2_max")
+        # psi2 even for "+" and odd for "-"; psi1 and psi3 the other way round
+        sign = 1.0 if sol.parity == "+" else -1.0
+        for psi, mirror_sign in ((wf.psi1, -sign), (wf.psi2, sign), (wf.psi3, -sign)):
+            worst = max(worst, float(np.max(np.abs(psi - mirror_sign * psi[::-1]))))
     return worst < PARITY_TOL, f"max parity asymmetry = {worst:.3g}"
 
 
@@ -192,13 +181,11 @@ def check_current():
     worst = 0.0
     for cfg, geom, sol in _solved_examples():
         x = np.linspace(geom.x1 - geom.l, geom.x2 + geom.l, 101)
-        for s in eigenfunction(sol, cfg, geom, x):
-            worst = max(worst, abs(current(s)))
+        wf = eigenfunction(sol, cfg, geom, x)
+        worst = max(worst, float(np.max(np.abs(current(wf.psi1, wf.psi2, wf.psi3)))))
         bv = boundary_values(sol, cfg, geom)
         for side in ("x1", "x2"):
-            jl = current(boundstates.WaveFunctionSample(0.0, *bv[side + "-"]))
-            jr = current(boundstates.WaveFunctionSample(0.0, *bv[side + "+"]))
-            worst = max(worst, abs(jl - jr))
+            worst = max(worst, abs(current(*bv[side + "-"]) - current(*bv[side + "+"])))
     return worst < CURRENT_TOL, f"max |j| = {worst:.3g}"
 
 

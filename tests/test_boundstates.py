@@ -22,7 +22,7 @@ from triband.boundstates import (
     general_bound_condition,
     split_residuals,
     ConnectionMatrix,
-    WaveFunctionSample,
+    WaveFunction,
 )
 from triband.model import (
     REDUCE_RTOL,
@@ -465,25 +465,22 @@ def test_eigenfunction_parity_structure():
     for cfg, geom, sol in _solutions():
         u = np.linspace(geom.l / 50, 1.4 * geom.l, 60)
         t = np.concatenate([-u[::-1], [0.0], u])
-        samples = eigenfunction(sol, cfg, geom, geom.a + t)
-        n = len(samples)
-        for i in range(n):
-            s, mir = samples[i], samples[n - 1 - i]
-            if sol.parity == "+":
-                assert s.psi2 == pytest.approx(mir.psi2, abs=1e-10)
-                assert s.psi1 == pytest.approx(-mir.psi1, abs=1e-10)
-                assert s.psi3 == pytest.approx(-mir.psi3, abs=1e-10)
-            else:
-                assert s.psi2 == pytest.approx(-mir.psi2, abs=1e-10)
-                assert s.psi1 == pytest.approx(mir.psi1, abs=1e-10)
-                assert s.psi3 == pytest.approx(mir.psi3, abs=1e-10)
+        wf = eigenfunction(sol, cfg, geom, geom.a + t)
+        # index i mirrors n - 1 - i, so each mirror is the reversed array
+        if sol.parity == "+":
+            assert wf.psi2 == pytest.approx(wf.psi2[::-1], abs=1e-10)
+            assert wf.psi1 == pytest.approx(-wf.psi1[::-1], abs=1e-10)
+            assert wf.psi3 == pytest.approx(-wf.psi3[::-1], abs=1e-10)
+        else:
+            assert wf.psi2 == pytest.approx(-wf.psi2[::-1], abs=1e-10)
+            assert wf.psi1 == pytest.approx(wf.psi1[::-1], abs=1e-10)
+            assert wf.psi3 == pytest.approx(wf.psi3[::-1], abs=1e-10)
 
 
 def test_eigenfunction_exterior_decay_rate():
     for cfg, geom, sol in _solutions():
         xr = geom.x2 + np.linspace(0.5, 1.5, 11) * geom.l
-        samples = eigenfunction(sol, cfg, geom, xr, normalize="raw")
-        psi2 = np.array([abs(s.psi2) for s in samples])
+        psi2 = np.abs(eigenfunction(sol, cfg, geom, xr, normalize="raw").psi2)
         slopes = np.diff(np.log(psi2)) / np.diff(xr)
         assert np.max(np.abs(slopes + sol.kappa)) < 1e-8
 
@@ -491,8 +488,24 @@ def test_eigenfunction_exterior_decay_rate():
 def test_eigenfunction_peak_normalization():
     cfg, geom, sol = _solutions()[0]
     x = np.linspace(geom.x1 - geom.l, geom.x2 + geom.l, 501)
-    samples = eigenfunction(sol, cfg, geom, x)
-    assert max(abs(s.psi2) for s in samples) == pytest.approx(1.0, rel=1e-12)
+    wf = eigenfunction(sol, cfg, geom, x)
+    assert np.max(np.abs(wf.psi2)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eigenfunction_is_one_record_of_arrays():
+    # one WaveFunction of 1-D arrays over the grid; psi2_max is the raw
+    # wave function divided by its peak |psi2|, float for float
+    cfg, geom, sol = _solutions()[0]
+    x = np.linspace(geom.x1 - geom.l, geom.x2 + geom.l, 101)
+    raw = eigenfunction(sol, cfg, geom, x, normalize="raw")
+    peak = eigenfunction(sol, cfg, geom, x)
+    assert isinstance(raw, WaveFunction)
+    for wf in (raw, peak):
+        assert np.array_equal(wf.x, x)
+        assert all(a.shape == x.shape and a.dtype == float for a in (wf.psi1, wf.psi2, wf.psi3))
+    scale = 1.0 / np.max(np.abs(raw.psi2))
+    for name in ("psi1", "psi2", "psi3"):
+        assert np.array_equal(getattr(peak, name), getattr(raw, name) * scale)
 
 
 def test_eigenfunction_rejects_foreign_solution():
@@ -556,35 +569,34 @@ def test_eigenfunction_satisfies_system_pointwise():
         stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
         weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
         for xx in x0:
-            pts = eigenfunction(sol, cfg, geom, xx + stencil, normalize="raw")
-            u = np.array([p.psi1 - p.psi3 for p in pts])
-            v = np.array([p.psi2 for p in pts])
-            mid = pts[2]
-            assert (e - cfg.v1) * mid.psi1 + (e - cfg.v3) * mid.psi3 == pytest.approx(
+            wf = eigenfunction(sol, cfg, geom, xx + stencil, normalize="raw")
+            u = wf.psi1 - wf.psi3
+            v = wf.psi2
+            psi1, psi2, psi3 = wf.psi1[2], wf.psi2[2], wf.psi3[2]  # at xx
+            assert (e - cfg.v1) * psi1 + (e - cfg.v3) * psi3 == pytest.approx(
                 0.0, abs=1e-12 * cfg.scale()
             )
             du = float(weights @ u)
             dv = float(weights @ v)
             scale = max(1.0, abs(du), abs(dv))
-            assert du == pytest.approx(np.sqrt(2) * (e - cfg.v2) * mid.psi2, abs=1e-7 * scale)
+            assert du == pytest.approx(np.sqrt(2) * (e - cfg.v2) * psi2, abs=1e-7 * scale)
             target = -np.sqrt(2) * (e - cfg.v1) * (e - cfg.v3) / (2 * e - cfg.v1 - cfg.v3)
-            assert dv == pytest.approx(target * (mid.psi1 - mid.psi3), abs=1e-7 * scale)
+            assert dv == pytest.approx(target * (psi1 - psi3), abs=1e-7 * scale)
 
 
 def test_current_vanishes_for_bound_states():
     for cfg, geom, sol in _solutions():
         x = np.linspace(geom.x1 - geom.l, geom.x2 + geom.l, 101)
-        for s in eigenfunction(sol, cfg, geom, x):
-            assert abs(current(s)) < 1e-12
+        wf = eigenfunction(sol, cfg, geom, x)
+        assert np.all(np.abs(current(wf.psi1, wf.psi2, wf.psi3)) < 1e-12)
 
 
 def test_current_zero_wavefunction():
-    assert current(WaveFunctionSample(0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert current(0.0, 0.0, 0.0) == 0.0
 
 
 def test_current_complex_plane_wave():
     # j is real for any complex spinor and nonzero for a traveling wave
-    s = WaveFunctionSample(0.0, 1.0 + 0.2j, 0.5j, -1.0 + 0.2j)
-    j = current(s)
+    j = current(1.0 + 0.2j, 0.5j, -1.0 + 0.2j)
     assert isinstance(j, float)
     assert j != 0.0

@@ -1,9 +1,14 @@
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triband.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(argv, capsys):
@@ -245,6 +250,24 @@ def test_usage_error_exit_code():
         ["pointlimit", "--n", "-1"],
         ["pointlimit", "--n", "3..1"],
         ["verify", "--cases", "0"],
+        ["verify", "--seed", "-1"],
+        # non-finite numbers, in every float flag kind
+        ["bands", "--v", "1,1,nan"],
+        ["bands", "--v", "1,2,3", "--kmax", "inf"],
+        ["boundstates", "--v", "0,inf,0"],
+        ["boundstates", "--l", "inf"],
+        ["boundstates", "--m", "inf"],
+        ["boundstates", "--x1=-inf", "--x2", "1"],
+        ["boundstates", "--x1", "0", "--x2", "inf"],
+        ["flat", "--v11", "nan"],
+        ["flat", "--v22", "inf"],
+        ["flat", "--v33", "1e400"],
+        ["sweep", "--vmin", "nan"],
+        ["sweep", "--vmax", "inf"],
+        ["sweep", "--alphas", "1,nan,0"],
+        ["pointlimit", "--g", "inf"],
+        ["pointlimit", "--g", "nan"],
+        ["pointlimit", "--converge", "--l0", "inf"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
@@ -266,3 +289,30 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "domain error" in err
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, loaded from its file: the one home of CLI_COMMANDS."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_small_outputs_match_the_benchmark_digests(tmp_path):
+    # the four commands of the benchmark's cli_small workload write the bytes
+    # that perfbench/refs/cli_small.json pins (manifests hold timings)
+    commands = _perfbench_inputs().CLI_COMMANDS
+    with open(PERFBENCH / "refs" / "cli_small.json") as fh:
+        digests = json.load(fh)["outputs"]
+    assert sorted(digests) == sorted(commands)
+    for name, argv in commands.items():
+        out = tmp_path / name
+        out.mkdir()
+        assert main([a.replace("{out}", str(out)) for a in argv]) == 0
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+            if not p.name.endswith(".manifest.json")
+        }
+        assert got == {f: d["sha256"] for f, d in digests[name].items()}, name

@@ -258,28 +258,26 @@ def test_squeezed_eigenfunction_shapes():
     # even point count keeps x = 0 (the two-sided discontinuity) off the grid
     x = np.linspace(-4, 4, 40)
     plus = squeezed_eigenfunction(P_PENCIL, SqueezeLaw("delta", np.pi / 2), parity="+", x_grid=x)
-    # psi2 even, outer components odd about the origin
-    for i in range(len(x)):
-        s, m = plus[i], plus[len(x) - 1 - i]
-        assert s.psi2 == pytest.approx(m.psi2, rel=1e-12)
-        assert s.psi1 == pytest.approx(-m.psi1, rel=1e-12)
+    # psi2 even, outer components odd about the origin (x is symmetric, so
+    # the mirror of each array is the reversed array)
+    assert plus.psi2 == pytest.approx(plus.psi2[::-1], rel=1e-12)
+    assert plus.psi1 == pytest.approx(-plus.psi1[::-1], rel=1e-12)
     minus = squeezed_eigenfunction(H2, SqueezeLaw("inv_square", 2.0), n=1, x_grid=x)
-    for i in range(len(x)):
-        s, m = minus[i], minus[len(x) - 1 - i]
-        assert s.psi2 == pytest.approx(-m.psi2, rel=1e-12)
-        assert s.psi1 == pytest.approx(m.psi1, rel=1e-12)
+    assert minus.psi2 == pytest.approx(-minus.psi2[::-1], rel=1e-12)
+    assert minus.psi1 == pytest.approx(minus.psi1[::-1], rel=1e-12)
     # exterior decay at the right rate
     e1 = limit_energy(H2, SqueezeLaw("inv_square", 2.0), n=1)
     kap = np.sqrt(1 - e1 * e1)
-    mag = [abs(s.psi2) for s in minus if s.x > 0]
-    xs = [s.x for s in minus if s.x > 0]
+    right = minus.x > 0
+    mag = np.abs(minus.psi2[right])
+    xs = minus.x[right]
     slopes = np.diff(np.log(mag)) / np.diff(xs)
     assert np.max(np.abs(slopes + kap)) < 1e-9
 
 
-def _psi_over_psi2_at_minus_one(samples):
+def _psi_over_psi2_at_minus_one(wf):
     """(psi1, psi2, psi3) rows divided by psi2 of the first sample, at x = -1."""
-    psi = np.array([[s.psi1, s.psi2, s.psi3] for s in samples])
+    psi = np.column_stack([wf.psi1, wf.psi2, wf.psi3])
     return psi / psi[0, 1]
 
 
