@@ -18,6 +18,7 @@ import numpy as np
 from .model import (
     SQRT2,
     DegenerateRoots,
+    DomainError,
     PlaneMismatch,
     PotentialConfig,
     ZeroK,
@@ -87,6 +88,8 @@ def dispersion_bands(cfg: PotentialConfig, k: float) -> BandTriple:
     eigenvalues (np.roots) polished with accepted-only Newton steps.
     """
     k2 = float(k) * float(k)
+    if not np.isfinite(k2):  # Python floats overflow to inf without a warning
+        raise DomainError(f"k^2 is not finite at k = {k}")
     # the exact reduction is keyed on the strict snap tolerance; membership as
     # reported by classify_flat stays at the looser PLANE_RTOL
     if cfg.on_plane_a(REDUCE_RTOL):

@@ -32,26 +32,33 @@ from .verify import checks, run_check
 
 FAMILY_NAMES = {"delta": "delta", "l23": "two_thirds", "l2": "inv_square"}
 
-# canonical pencil per spectrum species (vertex, alphas)
+# canonical pencil per spectrum species
 SET_PENCILS = {
-    "P": ("P1", (1.0, 1.0, 1.0)),
-    "D": ("P2", (-1.0, 1.0, -1.0)),
-    "H1": ("P2", (1.0, 1.0, -1.0)),
-    "H2": ("P1", (0.0, 1.0, 0.0)),
-    "W1": ("P1", (1.0, 0.0, 1.0)),
-    "W2": ("P1", (2.0, 1.0, 0.0)),
+    "P": PencilSpec("P1", 1.0, 1.0, 1.0),
+    "D": PencilSpec("P2", -1.0, 1.0, -1.0),
+    "H1": PencilSpec("P2", 1.0, 1.0, -1.0),
+    "H2": PencilSpec("P1", 0.0, 1.0, 0.0),
+    "W1": PencilSpec("P1", 1.0, 0.0, 1.0),
+    "W2": PencilSpec("P1", 2.0, 1.0, 0.0),
 }
+
+
+def _sweep_preset(species, l):
+    """The sweep flag defaults of the species' pencil at width l."""
+    p = SET_PENCILS[species]
+    return {"vertex": p.vertex, "alphas": (p.alpha1, p.alpha2, p.alpha3), "l": l}
+
 
 # the flag defaults that each boundstates and sweep preset stands for
 PRESETS = {
     "boundstates": {"fig3": {"v": (3.0, 3.0, 3.0), "l": 0.5}},
     "sweep": {
-        "fig4": {"vertex": "P1", "alphas": (1.0, 1.0, 1.0), "l": 0.5},
-        "fig5": {"vertex": "P2", "alphas": (-1.0, 1.0, -1.0), "l": 5.0},
-        "fig6": {"vertex": "P2", "alphas": (1.0, 1.0, -1.0), "l": 2.0},
-        "fig7": {"vertex": "P1", "alphas": (0.0, 1.0, 0.0), "l": 2.0},
-        "fig8": {"vertex": "P1", "alphas": (1.0, 0.0, 1.0), "l": 2.5},
-        "fig9": {"vertex": "P1", "alphas": (2.0, 1.0, 0.0), "l": 2.0},
+        "fig4": _sweep_preset("P", 0.5),
+        "fig5": _sweep_preset("D", 5.0),
+        "fig6": _sweep_preset("H1", 2.0),
+        "fig7": _sweep_preset("H2", 2.0),
+        "fig8": _sweep_preset("W1", 2.5),
+        "fig9": _sweep_preset("W2", 2.0),
     },
 }
 POINTLIMIT_PRESET_UNREAD = ("set", "family", "g", "n", "parity", "converge", "l0", "levels")
@@ -219,8 +226,7 @@ def _table1_rows():
     ]
     out = []
     for set_tag, fam, g, ns in combos:
-        vertex, alphas = SET_PENCILS[set_tag]
-        pencil = PencilSpec(vertex, *alphas)
+        pencil = SET_PENCILS[set_tag]
         law = SqueezeLaw(FAMILY_NAMES[fam], g)
         for n in ns:
             try:
@@ -251,7 +257,7 @@ def cmd_pointlimit(args):
         io_utils.write_manifest(args.out, {"entries": _table1_rows()})
         return 0, {}
     if args.preset == "fig10":
-        pencil = PencilSpec(SET_PENCILS["P"][0], *SET_PENCILS["P"][1])
+        pencil = SET_PENCILS["P"]
         law = SqueezeLaw("delta", np.pi / 2.0)
         x = np.linspace(-8.0, 8.0, args.nx)
         rows = []
@@ -262,7 +268,7 @@ def cmd_pointlimit(args):
         io_utils.write_csv(args.out, ["parity", "E_b", *WAVEFUNCTION_COLUMNS], rows)
         return 0, {}
     if args.preset == "fig11":
-        pencil = PencilSpec(SET_PENCILS["H2"][0], *SET_PENCILS["H2"][1])
+        pencil = SET_PENCILS["H2"]
         law = SqueezeLaw("inv_square", 2.0)
         x = np.linspace(-30.0, 30.0, args.nx)
         rows = []
@@ -273,8 +279,7 @@ def cmd_pointlimit(args):
         io_utils.write_csv(args.out, ["n", "E_n", *WAVEFUNCTION_COLUMNS], rows)
         return 0, {}
 
-    vertex, alphas = SET_PENCILS[args.set]
-    pencil = PencilSpec(vertex, *alphas)
+    pencil = SET_PENCILS[args.set]
     law = SqueezeLaw(FAMILY_NAMES[args.family], args.g)
     rows = []
     if args.converge:
@@ -402,9 +407,12 @@ def main(argv=None) -> int:
     args = _parse(argv)
     t0 = time.perf_counter()
     try:
-        # (exit code, the command's part of the manifest of each file it wrote)
-        code, record = args.func(args)
-    except DomainError as exc:
+        # overflow, division by zero and invalid operations are numerical
+        # trouble like a DomainError; underflow is not (exterior tails decay)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # (exit code, the command's part of the manifest of each file it wrote)
+            code, record = args.func(args)
+    except (DomainError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical domain error: {exc}\n")
         return 2
     _write_manifests(args, {**record, "elapsed_s": time.perf_counter() - t0})

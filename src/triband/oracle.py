@@ -98,19 +98,19 @@ def _parity_mismatches(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_st
 def oracle_bound_states(
     cfg: PotentialConfig,
     geom: Geometry,
-    n_grid: int = N_GRID,
+    *,
     n_steps: int = N_STEPS,
     extra_exclusions=(),
 ) -> list[float]:
     """Grid-scan the midpoint parity mismatches u(a) and v(a) over the gap
-    and bisect every sign change of each.
+    and bisect every sign change of each, on the solver's N_GRID points.
 
     Each parity is scanned on its own, so an exponentially split even/odd
     doublet is one simple zero in each family.  Exclusion windows around
     E = 0 and the constraint pole at E = va mirror the main solver's so both
     enumerate the same domain.
     """
-    grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), n_grid)
+    grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), N_GRID)
     if not grids:
         return []
 

@@ -25,7 +25,6 @@ shrink with V.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,10 +146,11 @@ def _link(v_grid, levels):
 
     Matches each active branch, in order, to the nearest untaken state of the
     same parity, predicted by local slope, with maximum jump
-    5 * dV * max(|slope|, 1) (ties go to the lowest state index); unmatched
-    states open new branches and abandoned branches close (both recorded as
-    events).  The nearest state is found by bisection in an energy-sorted
-    list of the untaken states, so linking costs O(log n) per branch.
+    5 * dV * max(|slope|, 1); unmatched states open new branches, in level
+    order, and abandoned branches close (both recorded as events).  Each
+    parity's states are one energy array in level order, a taken state's
+    entry becomes inf, and the nearest state is its argmin, the first
+    minimum: ties go to the lowest state index.
     """
     branches: list[Branch] = []
     active: list[Branch] = []
@@ -158,12 +158,11 @@ def _link(v_grid, levels):
     for i, v in enumerate(v_grid):
         dv = v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]
         dv = max(dv / 2.0, 1e-12)
-        taken = [False] * len(levels[i])
-        # untaken states per parity: energies and indices, sorted by (energy, index)
-        free = {p: ([], []) for p in "+-"}
-        for j, st in sorted(enumerate(levels[i]), key=lambda js: (js[1].energy, js[0])):
-            free[st.parity][0].append(st.energy)
-            free[st.parity][1].append(j)
+        states = levels[i]
+        index = {"+": [], "-": []}  # level indices per parity, in level order
+        for j, st in enumerate(states):
+            index[st.parity].append(j)
+        free = {p: np.array([states[j].energy for j in idx]) for p, idx in index.items()}
         still_active = []
         for br in active:
             pred = br.states[-1].energy
@@ -174,54 +173,27 @@ def _link(v_grid, levels):
                     slope = (br.states[-1].energy - br.states[-2].energy) / dv_br
             pred = pred + slope * (v - br.v_values[-1])
             max_jump = 5.0 * dv * max(abs(slope), 1.0)
-            best = _take_nearest(*free[br.parity], pred, max_jump)
-            if best >= 0:
-                taken[best] = True
-                br.v_values.append(float(v))
-                br.states.append(levels[i][best])
-                still_active.append(br)
-            else:
-                events.append((float(v), "disappear", br.parity))
-        for j, st in enumerate(levels[i]):
-            if not taken[j]:
-                br = Branch(parity=st.parity, v_values=[float(v)], states=[st])
-                branches.append(br)
-                still_active.append(br)
-                if i > 0:
-                    events.append((float(v), "appear", st.parity))
+            candidates = free[br.parity]
+            if candidates.size:
+                d = np.abs(candidates - pred)
+                k = int(d.argmin())
+                if d.item(k) < max_jump:
+                    candidates[k] = np.inf
+                    br.v_values.append(float(v))
+                    br.states.append(states[index[br.parity][k]])
+                    still_active.append(br)
+                    continue
+            events.append((float(v), "disappear", br.parity))
+        untaken = [j for p in "+-" for j, e in zip(index[p], free[p].tolist()) if e != np.inf]
+        for j in sorted(untaken):
+            st = states[j]
+            br = Branch(parity=st.parity, v_values=[float(v)], states=[st])
+            branches.append(br)
+            still_active.append(br)
+            if i > 0:
+                events.append((float(v), "appear", st.parity))
         active = still_active
     return branches, events
-
-
-def _take_nearest(energies, indices, pred, max_jump):
-    """Remove the state minimising d = |energy - pred| among those with
-    d < max_jump, the lowest index on a tie, from the parallel lists
-    (sorted by energy) and return its index; -1 if there is none.
-
-    Rounded subtraction is monotone, so d does not grow towards pred from
-    either side: the minimum sits next to the insertion point of pred, and
-    only runs of equal d next to it can tie.
-    """
-    k = bisect.bisect_right(energies, pred)
-    sides = []  # (d, positions) of the nearest run on each side of pred
-    for start, step, stop in ((k - 1, -1, -1), (k, 1, len(energies))):
-        if start == stop:
-            continue
-        d = abs(energies[start] - pred)
-        run = [start]
-        nxt = start + step
-        while nxt != stop and abs(energies[nxt] - pred) == d:
-            run.append(nxt)
-            nxt += step
-        sides.append((d, run))
-    if not sides:
-        return -1
-    d_min = min(d for d, _ in sides)
-    if not d_min < max_jump:
-        return -1
-    pos = min((p for d, run in sides if d == d_min for p in run), key=indices.__getitem__)
-    del energies[pos]
-    return indices.pop(pos)
 
 
 def one_point_energy(

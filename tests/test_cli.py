@@ -291,6 +291,25 @@ def test_domain_error_exit_code(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pointlimit", "--g", "1e308"],  # divides by zero in pointlimits.chi
+        ["boundstates", "--l", "1e300"],  # overflows in model.sc_kernels
+        ["sweep", "--vmin", "1e300", "--vmax", "1e300", "--nv", "1"],  # overflows
+        ["bands", "--v", "1,2,3", "--kmax", "1e300", "--nk", "3"],  # k^2 = inf
+    ],
+    ids=["pointlimit", "boundstates", "sweep", "bands"],
+)
+def test_numerical_trouble_exits_2(argv, tmp_path, capsys):
+    # large finite inputs pass the parser; the numbers they lead to do not
+    code, _, err = run([*argv, "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("numerical domain error: ")
+    assert not (tmp_path / "out.csv.manifest.json").exists()
+
+
 def _perfbench_inputs():
     """perfbench/inputs.py, loaded from its file: the one home of CLI_COMMANDS."""
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")

@@ -37,6 +37,14 @@ def test_oracle_free_potential_empty():
     assert oracle_bound_states(PotentialConfig(0, 0, 0), Geometry.centered(1.0)) == []
 
 
+def test_oracle_options_are_keyword_only():
+    # the scan runs on boundstates.N_GRID points, the resolution that
+    # verify.comparison_domain sizes its windows for; n_steps and
+    # extra_exclusions are given by keyword
+    with pytest.raises(TypeError):
+        oracle_bound_states(FIG3_CFG, FIG3_GEOM, 2000)
+
+
 def test_oracle_reference_levels():
     roots = oracle_bound_states(FIG3_CFG, FIG3_GEOM)
     assert len(roots) == 2

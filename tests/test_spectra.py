@@ -190,9 +190,8 @@ def test_sweep_branch_linking_two_level_family():
 
 
 def _greedy_link(v_grid, levels):
-    """The linker sweep used before bisection: every active branch scans all
-    states of the current V.  Kept as the reference the bisection linker must
-    reproduce."""
+    """The plainest linker: every active branch scans all states of the
+    current V.  Kept as the reference that spectra._link must reproduce."""
     branches, active, events = [], [], []
     for i, v in enumerate(v_grid):
         dv = max((v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]) / 2.0, 1e-12)
@@ -231,14 +230,31 @@ def _linked(spectrum):
     return [(b.parity, b.v_values, b.states) for b in spectrum.branches], spectrum.events
 
 
-def test_bisection_linking_matches_greedy_scan_on_fig6():
-    # the first 40 V points of the fig6 preset grid at stride 20: 180-309
-    # levels per point, many branches opening and closing
-    v_grid = np.linspace(-12.0, 12.0, 2400)[::20][:40]
-    spectrum = sweep(PencilSpec("P2", 1, 1, -1), Geometry.centered(2.0), v_grid)
+def _preset_case(name, v_grid):
+    preset = PRESETS["sweep"][name]
+    pencil = PencilSpec(preset["vertex"], *preset["alphas"])
+    return pencil, Geometry.centered(preset["l"]), v_grid
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fig6_stride20", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"],
+)
+def test_linking_matches_greedy_scan(name):
+    if name == "fig6_stride20":
+        # the first 40 V points of the fig6 preset grid at stride 20: 180-309
+        # levels per point, many branches opening and closing
+        case = _preset_case("fig6", np.linspace(-12.0, 12.0, 2400)[::20][:40])
+    else:
+        # 61 points put V = 0 on the grid; fig5 and fig9 are mostly levels
+        # with k^2 < 0, and fig6 records about a thousand appear and
+        # disappear events
+        case = _preset_case(name, np.linspace(-12.0, 12.0, 61))
+    spectrum = sweep(*case)
     branches, events = _linked(spectrum)
     assert (branches, events) == _greedy_link(spectrum.v_grid, spectrum.levels)
-    assert len(branches) > 300 and events
+    if name == "fig6_stride20":
+        assert len(branches) > 300 and events
 
 
 def _state(e, parity="+"):
@@ -287,9 +303,7 @@ def test_batched_sweep_matches_per_v_solves():
     # V = 0 is a block of its own between two runs of 30 V points; fig8
     # keeps v2 = 0 throughout
     for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9"):
-        preset = PRESETS["sweep"][name]
-        pencil, geom = PencilSpec(preset["vertex"], *preset["alphas"]), Geometry.centered(preset["l"])
-        cases.append((pencil, geom, np.linspace(-12, 12, 61)))
+        cases.append(_preset_case(name, np.linspace(-12, 12, 61)))
     cases.append((*fig6, np.linspace(-3.0, 5.0, 21)))  # 21 = 16 + 5 points
     cases.append((*fig6, [0.5]))
     for pencil, geom, v_grid in cases:
