@@ -15,6 +15,7 @@ from .bands import (
 from .boundstates import (
     BoundStateSolution,
     ConnectionMatrix,
+    Levels,
     WaveFunction,
     connection_matrix,
     current,

@@ -24,7 +24,7 @@ magnitude without moving any zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,6 +85,21 @@ class BoundStateSolution:
     rho: float
     k2: float
     residual: float
+
+
+@dataclass(frozen=True)
+class Levels:
+    """Levels of several configurations as 1-D arrays of one length: level i
+    has the fields of a BoundStateSolution and belongs to configuration
+    config[i] (its V index in a sweep).  Sorted by configuration, then energy."""
+
+    energy: np.ndarray
+    parity: np.ndarray
+    kappa: np.ndarray
+    rho: np.ndarray
+    k2: np.ndarray
+    residual: np.ndarray
+    config: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -288,8 +303,8 @@ def _scan_brackets(both, segments, n_grid):
 BLOCK_SIZE = 16
 
 
-def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
-    """find_bound_states of each configuration, refined in one pass.
+def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=(), first: int = 0):
+    """The Levels of the configurations cfgs, numbered from first, refined in one pass.
 
     Every configuration is scanned on its own; the brackets of all
     (configuration, parity) families are then refined together, each family
@@ -304,38 +319,25 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=()):
     ]
     sizes = [len(fam) for fam in families]
     # family 2 i holds the "+" brackets of configuration i, family 2 i + 1 the "-"
-    owner, parity = np.divmod(np.arange(2 * len(cfgs)), 2)
+    family = np.arange(2 * len(cfgs))
     refined = rootfind.refine_brackets(
-        res.at(np.repeat(owner, sizes)).both,
+        res.at(np.repeat(family // 2, sizes)).both,
         np.concatenate(families),
         xtol=ROOT_XTOL,
         families=sizes,
-        pick=np.repeat(parity, sizes),
+        pick=np.repeat(family % 2, sizes),
     )
+    kept = [rootfind.dedup_sorted(r, fr, tol=5.0 * ROOT_XTOL) for r, fr in refined]
+    family = np.repeat(family, [r.size for r, _ in kept])
+    roots, fr = (np.concatenate(c) for c in zip(*kept))
+    # by configuration, then energy: a stable sort, so "+" comes first on a
+    # tie; then the roots inside the gap margins
+    order = np.lexsort((roots, family // 2))
     lo, hi = -1.0 + EDGE_MARGIN, 1.0 - EDGE_MARGIN
-    kept = []
-    for roots, fr in refined:
-        roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL)
-        keep = (lo < roots) & (roots < hi)
-        kept.append((roots[keep], fr[keep]))
-    counts = [roots.size for roots, _ in kept]
-    roots = np.concatenate([r for r, _ in kept])
-    fields = (
-        roots,
-        kappa(roots),
-        rho(roots),
-        res.at(np.repeat(owner, counts)).k2(roots),
-        np.abs(np.concatenate([f for _, f in kept])),
-    )
-    states = [
-        BoundStateSolution(e, "+-"[p], *rest)
-        for p, e, *rest in zip(np.repeat(parity, counts).tolist(), *(a.tolist() for a in fields))
-    ]
-    out, start = [], 0
-    for n in np.add(counts[::2], counts[1::2]).tolist():
-        out.append(sorted(states[start : start + n], key=lambda st: st.energy))
-        start += n
-    return out
+    order = order[(lo < roots[order]) & (roots[order] < hi)]
+    e, (config, p) = roots[order], np.divmod(family[order], 2)
+    parity, k2 = np.array(["+", "-"])[p], res.at(config).k2(e)
+    return Levels(e, parity, kappa(e), rho(e), k2, np.abs(fr[order]), config + first)
 
 
 def find_bound_states(
@@ -355,32 +357,34 @@ def find_bound_states(
     list of (lo, hi) intervals left out of the scan (used by cross-validation
     harnesses to equalize domains).
 
-    This is the one-configuration case of the block solver behind
-    find_bound_states_many, which refines one bracket family per
-    (configuration, parity) for BLOCK_SIZE configurations in one pass; each
-    family keeps its own bisection count, so both return the same floats.
+    The one-configuration case of the block solver behind
+    find_bound_states_many, so both return the same floats.
     """
-    return _solve_block([cfg], geom, n_grid, extra_exclusions)[0]
+    lv = _solve_block([cfg], geom, n_grid, extra_exclusions)
+    columns = (lv.energy, lv.parity, lv.kappa, lv.rho, lv.k2, lv.residual)
+    return [BoundStateSolution(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = N_GRID):
-    """find_bound_states of each configuration (sharing geom), float for float.
+def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = N_GRID) -> Levels:
+    """The levels of each configuration (sharing geom) as one Levels record.
 
+    Level i belongs to configuration cfgs[config[i]], and each configuration's
+    levels are the floats find_bound_states returns for it, in its order.
     Configurations are solved BLOCK_SIZE at a time: each is scanned on its
     own, and the brackets of a block, one family per (configuration,
-    parity), are refined in one pass.  A block of 16 makes about 33 refine
-    calls in place of 16 x 33.  A block holds one residual form (_form), so
-    blocks are cut where the form changes: each run of consecutive
-    configurations of one form is split into blocks of BLOCK_SIZE.  Along a
-    pencil the form changes only at isolated strengths (V = 0 on the fig4 to
-    fig9 pencils), which then make blocks of their own.
+    parity), are refined in one pass.  A block holds one residual form
+    (_form), so blocks are cut where the form changes: each run of
+    consecutive configurations of one form is split into blocks of
+    BLOCK_SIZE.  Along a pencil the form changes only at isolated strengths
+    (V = 0 on the fig4 to fig9 pencils), which then make blocks of their own.
     """
-    out = []
+    blocks, start = [], 0
     for _, run in itertools.groupby(cfgs, key=_form):
         run = list(run)
-        for start in range(0, len(run), BLOCK_SIZE):
-            out.extend(_solve_block(run[start : start + BLOCK_SIZE], geom, n_grid))
-    return out
+        for lo in range(0, len(run), BLOCK_SIZE):
+            blocks.append(_solve_block(run[lo : lo + BLOCK_SIZE], geom, n_grid, first=start + lo))
+        start += len(run)
+    return Levels(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(Levels)))
 
 
 # --- eigenfunctions ----------------------------------------------------------

@@ -192,15 +192,19 @@ def cmd_sweep(args):
     geom = Geometry.centered(args.l * args.m)
     v_grid = np.linspace(args.vmin, args.vmax, args.nv) / args.m
     spectrum = sweep(pencil, geom, v_grid, n_grid=args.ngrid)
-    rows = []
-    for bi, br in enumerate(spectrum.branches):
-        for v, st in zip(br.v_values, br.states):
-            rows.append((v, st.parity, st.energy, bi, int(np.sign(st.k2))))
-    rows.sort(key=lambda r: (r[0], r[2]))
+    lv, v = spectrum.levels, spectrum.v_grid[spectrum.levels.config]
+    branch_id = np.empty(lv.energy.size, dtype=int)
+    for b, br in enumerate(spectrum.branches):
+        branch_id[br.index] = b
+    # a branch holds at most one level per V index, in level order, so the
+    # level index breaks a (V, E, branch id) tie as the position in it would
+    index = np.lexsort((branch_id, lv.energy, v))
+    k2_sign = np.sign(lv.k2[index]).astype(int)
+    columns = (v[index], lv.parity[index], lv.energy[index], branch_id[index], k2_sign)
     io_utils.write_csv(
         args.out,
         ["V", "parity", "E_b", "branch_id", "k2_sign"],
-        rows,
+        zip(*(c.tolist() for c in columns)),
         row_format="{:.12g},{},{:.12g},{},{}\r\n",
     )
     stype = classify(pencil)
@@ -253,7 +257,7 @@ def _table1_rows():
 
 def cmd_pointlimit(args):
     if args.preset == "table1":
-        args.out = args.out or "table1.json"  # the table has no stdout form
+        args.out = args.out or "table1.json"  # "-" is stdout
         io_utils.write_manifest(args.out, {"entries": _table1_rows()})
         return 0, {}
     if args.preset == "fig10":

@@ -49,10 +49,10 @@ def write_csv(path, header, rows, row_format: str | None = None):
 
 
 def write_manifest(path, payload: dict):
-    """Sidecar JSON manifest describing a run (parameters, version, timings)."""
-    if path is None:
-        return None
+    """Sidecar JSON manifest describing a run (parameters, version, timings); "-" is stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+        fh.write(text)

@@ -25,12 +25,12 @@ shrink with V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rootfind
-from .boundstates import N_GRID, find_bound_states_many
+from .boundstates import N_GRID, Levels, find_bound_states_many
 from .model import (
     Geometry,
     OutOfValidityWindow,
@@ -75,13 +75,13 @@ class SpectrumType:
     beta: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
-    """One continuously linked level: parallel lists of V and solutions."""
+    """One continuously linked level: its parity and the indices of its
+    levels in BranchedSpectrum.levels, in V order."""
 
     parity: str
-    v_values: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    index: np.ndarray
 
 
 @dataclass
@@ -89,7 +89,7 @@ class BranchedSpectrum:
     pencil: PencilSpec
     geom: Geometry
     v_grid: np.ndarray
-    levels: list  # per V point, list[BoundStateSolution]
+    levels: Levels  # every level of the sweep; levels.config indexes v_grid
     branches: list  # list[Branch]
     events: list  # (V, "appear"|"disappear", parity)
 
@@ -123,15 +123,10 @@ def sweep(
 ) -> BranchedSpectrum:
     """Bound states at every V, linked into branches by continuity.
 
-    The levels come from boundstates.find_bound_states_many: V points are
-    solved in blocks of boundstates.BLOCK_SIZE (16), each V scanned on its
-    own and the brackets of every (V, parity) family of a block refined in
-    one pass, so every V gets the floats find_bound_states returns for it
-    while a block of 16 makes about 33 refine calls instead of 16 x 33.
-    A block holds V points of one residual form (flat-band plane and
-    v2 = 0), so blocks are cut where the form changes, which on a pencil
-    happens only at isolated V (V = 0 on the fig4 to fig9 pencils).  The
-    levels are then linked by _link.
+    The levels come from boundstates.find_bound_states_many, which solves
+    the V points in blocks, each V with the floats find_bound_states returns
+    for it.  They stay one Levels record, whose config field is the V
+    index, and _link links them into branches of indices into it.
     """
     v_grid = np.asarray(sorted(v_grid), dtype=float)
     if v_grid.size == 0:
@@ -142,58 +137,53 @@ def sweep(
 
 
 def _link(v_grid, levels):
-    """(branches, events) linking the levels of each V to those of the last.
+    """(branches, events) linking the Levels of a sweep over v_grid, V by V.
 
-    Matches each active branch, in order, to the nearest untaken state of the
-    same parity, predicted by local slope, with maximum jump
-    5 * dV * max(|slope|, 1); unmatched states open new branches, in level
-    order, and abandoned branches close (both recorded as events).  Each
-    parity's states are one energy array in level order, a taken state's
-    entry becomes inf, and the nearest state is its argmin, the first
-    minimum: ties go to the lowest state index.
+    Matches each active branch, in order, to the nearest untaken level of
+    its parity, predicted by local slope, with maximum jump
+    5 * dV * max(|slope|, 1); unmatched levels open new branches, in level
+    order, and abandoned branches close (both recorded as events).  The
+    energies sorted by (V, parity), in level order within each group, are
+    one array; a taken level's entry becomes inf, and the nearest level is
+    the argmin over its group, the first minimum: ties go to the lowest
+    level index.
     """
-    branches: list[Branch] = []
-    active: list[Branch] = []
-    events = []
-    for i, v in enumerate(v_grid):
-        dv = v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]
-        dv = max(dv / 2.0, 1e-12)
-        states = levels[i]
-        index = {"+": [], "-": []}  # level indices per parity, in level order
-        for j, st in enumerate(states):
-            index[st.parity].append(j)
-        free = {p: np.array([states[j].energy for j in idx]) for p, idx in index.items()}
+    minus = levels.parity == "-"
+    group = 2 * levels.config + minus  # group 2 i + p: V point i, parity p ("+" 0, "-" 1)
+    order = np.argsort(group, kind="stable")
+    edges = np.searchsorted(group[order], np.arange(2 * len(v_grid) + 1)).tolist()
+    free = levels.energy[order]
+    energy, v_of, p_of = levels.energy.tolist(), v_grid[levels.config].tolist(), minus.tolist()
+    level_of, vs = order.tolist(), v_grid.tolist()
+    branches, active, events = [], [], []  # a branch is the list of its level indices
+    for i, v in enumerate(vs):
+        dv = max((vs[min(i + 1, len(vs) - 1)] - vs[max(i - 1, 0)]) / 2.0, 1e-12)
         still_active = []
-        for br in active:
-            pred = br.states[-1].energy
-            slope = 0.0
-            if len(br.states) >= 2:
-                dv_br = br.v_values[-1] - br.v_values[-2]
-                if dv_br != 0:
-                    slope = (br.states[-1].energy - br.states[-2].energy) / dv_br
-            pred = pred + slope * (v - br.v_values[-1])
+        for idx in active:
+            last, p = idx[-1], p_of[idx[-1]]
+            prev = idx[-2] if len(idx) >= 2 else last
+            dv_br = v_of[last] - v_of[prev]
+            slope = (energy[last] - energy[prev]) / dv_br if dv_br != 0 else 0.0
+            pred = energy[last] + slope * (v - v_of[last])
             max_jump = 5.0 * dv * max(abs(slope), 1.0)
-            candidates = free[br.parity]
-            if candidates.size:
-                d = np.abs(candidates - pred)
+            a, b = edges[2 * i + p], edges[2 * i + p + 1]
+            if a < b:
+                d = np.abs(free[a:b] - pred)
                 k = int(d.argmin())
                 if d.item(k) < max_jump:
-                    candidates[k] = np.inf
-                    br.v_values.append(float(v))
-                    br.states.append(states[index[br.parity][k]])
-                    still_active.append(br)
+                    free[a + k] = np.inf
+                    idx.append(level_of[a + k])
+                    still_active.append(idx)
                     continue
-            events.append((float(v), "disappear", br.parity))
-        untaken = [j for p in "+-" for j, e in zip(index[p], free[p].tolist()) if e != np.inf]
-        for j in sorted(untaken):
-            st = states[j]
-            br = Branch(parity=st.parity, v_values=[float(v)], states=[st])
-            branches.append(br)
-            still_active.append(br)
+            events.append((v, "disappear", "+-"[p]))
+        a, b = edges[2 * i], edges[2 * i + 2]
+        for j in np.sort(order[a:b][free[a:b] != np.inf]).tolist():
+            branches.append([j])
+            still_active.append(branches[-1])
             if i > 0:
-                events.append((float(v), "appear", st.parity))
+                events.append((v, "appear", "+-"[p_of[j]]))
         active = still_active
-    return branches, events
+    return [Branch("+-"[p_of[idx[0]]], np.array(idx)) for idx in branches], events
 
 
 def one_point_energy(

@@ -154,6 +154,24 @@ def test_pointlimit_table_preset(tmp_path):
         assert np.linalg.det(lam) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_pointlimit_table_preset_to_stdout(tmp_path, monkeypatch, capsys):
+    # "-" is stdout, as for every CSV: the JSON of the file, and no file or manifest
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["pointlimit", "--preset", "table1", "--out", "-"], capsys)
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    assert main(["pointlimit", "--preset", "table1", "--out", "table1.json"]) == 0
+    assert out == (tmp_path / "table1.json").read_text()
+
+
+def test_sweep_without_levels_writes_the_header(tmp_path):
+    # zero strengths hold no bound state at any V
+    out = tmp_path / "none.csv"
+    argv = ["sweep", "--alphas", "0,0,0", "--vmin", "1", "--vmax", "2", "--nv", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == b"V,parity,E_b,branch_id,k2_sign\r\n"
+
+
 def test_pointlimit_convergence_csv(tmp_path):
     out = tmp_path / "conv.csv"
     code = main(
@@ -197,6 +215,26 @@ def test_sweep_rescales_strengths_like_boundstates(tmp_path):
     assert set(column(sw, "V")) == {0.5}
     assert len(column(bs, "E_b")) >= 2
     assert column(sw, "E_b") == column(bs, "E_b")
+
+
+# the SHA-256 of `sweep --preset figN --nv 241`, as the CI workflow pins them
+SWEEP_DIGESTS = {
+    "fig4": "04d8e8ef944745e18d3ebd00907082b41cd38ba093e682007422ab61002ca965",
+    "fig5": "777bf4aa81b44595ad1d808cb709f4541ed292bf9675099dfc62582a260bb0d4",
+    "fig7": "cf729c59e752263644e3d34c601606228cc0f9986d568980197a93b28eb6e193",
+    "fig8": "eecb4213db7d9c5ea559e6e63ac94b694aacec06570829487e487c451804bb69",
+    "fig9": "9cf02f91dd56eb78989dd7a07bd24170a37e8e1fbcef2c9e710aa28d270c00d4",
+}
+
+
+def test_sweep_presets_write_the_pinned_bytes(tmp_path):
+    # fig5 guards the row order: from V = 7.8 on, a "+" and a "-" level have
+    # the same float energy, and the "-" level (branch 2) comes first, by
+    # branch id, although it follows the "+" level (branch 5) in level order
+    for preset, digest in SWEEP_DIGESTS.items():
+        out = tmp_path / f"{preset}.csv"
+        assert main(["sweep", "--preset", preset, "--nv", "241", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, preset
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from triband import spectra
-from triband.boundstates import BoundStateSolution, find_bound_states
+from triband import boundstates, cli, spectra
+from triband.boundstates import BoundStateSolution, Levels, find_bound_states
 from triband.cli import PRESETS
 from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
@@ -180,54 +180,68 @@ def test_sweep_branch_linking_two_level_family():
     geom = Geometry.centered(0.5)
     spectrum = sweep(pencil, geom, np.linspace(2.0, 4.0, 21))
     # every V point carries levels and branches are continuous in V
-    assert all(len(lv) >= 1 for lv in spectrum.levels)
-    long_branches = [b for b in spectrum.branches if len(b.states) >= 5]
+    assert np.all(np.bincount(spectrum.levels.config, minlength=21) >= 1)
+    long_branches = [b for b in spectrum.branches if b.index.size >= 5]
     assert long_branches
     for br in long_branches:
-        jumps = np.abs(np.diff([s.energy for s in br.states]))
+        jumps = np.abs(np.diff(spectrum.levels.energy[br.index]))
         assert np.all(jumps < 0.5)
 
 
+FIELDS = ("energy", "parity", "kappa", "rho", "k2", "residual")
+
+
+def _record(per_v):
+    """The Levels record of one list of BoundStateSolution per V point."""
+    sols = [s for sols in per_v for s in sols]
+    columns = {f: np.array([getattr(s, f) for s in sols]) for f in FIELDS}
+    columns["parity"] = columns["parity"].astype(str)  # also when there is no level
+    config = np.repeat(np.arange(len(per_v)), [len(sols) for sols in per_v])
+    return Levels(**columns, config=config)
+
 
 def _greedy_link(v_grid, levels):
-    """The plainest linker: every active branch scans all states of the
+    """The plainest linker: every active branch scans all levels of the
     current V.  Kept as the reference that spectra._link must reproduce."""
+    e, par = levels.energy.tolist(), levels.parity.tolist()
+    v_of = [float(v_grid[c]) for c in levels.config]
     branches, active, events = [], [], []
     for i, v in enumerate(v_grid):
         dv = max((v_grid[min(i + 1, len(v_grid) - 1)] - v_grid[max(i - 1, 0)]) / 2.0, 1e-12)
-        taken = [False] * len(levels[i])
+        at_v = np.flatnonzero(levels.config == i).tolist()
+        taken = set()
         still_active = []
         for br in active:
+            parity, idx = br
             slope = 0.0
-            if len(br.states) >= 2:
-                dv_br = br.v_values[-1] - br.v_values[-2]
+            if len(idx) >= 2:
+                dv_br = v_of[idx[-1]] - v_of[idx[-2]]
                 if dv_br != 0:
-                    slope = (br.states[-1].energy - br.states[-2].energy) / dv_br
-            pred = br.states[-1].energy + slope * (v - br.v_values[-1])
+                    slope = (e[idx[-1]] - e[idx[-2]]) / dv_br
+            pred = e[idx[-1]] + slope * (v - v_of[idx[-1]])
             best, best_d = -1, 5.0 * dv * max(abs(slope), 1.0)
-            for j, st in enumerate(levels[i]):
-                if not taken[j] and st.parity == br.parity and abs(st.energy - pred) < best_d:
-                    best, best_d = j, abs(st.energy - pred)
+            for j in at_v:
+                if j not in taken and par[j] == parity and abs(e[j] - pred) < best_d:
+                    best, best_d = j, abs(e[j] - pred)
             if best >= 0:
-                taken[best] = True
-                br.v_values.append(float(v))
-                br.states.append(levels[i][best])
+                taken.add(best)
+                idx.append(best)
                 still_active.append(br)
             else:
-                events.append((float(v), "disappear", br.parity))
-        for j, st in enumerate(levels[i]):
-            if not taken[j]:
-                br = spectra.Branch(parity=st.parity, v_values=[float(v)], states=[st])
+                events.append((float(v), "disappear", parity))
+        for j in at_v:
+            if j not in taken:
+                br = (par[j], [j])
                 branches.append(br)
                 still_active.append(br)
                 if i > 0:
-                    events.append((float(v), "appear", st.parity))
+                    events.append((float(v), "appear", par[j]))
         active = still_active
-    return [(b.parity, b.v_values, b.states) for b in branches], events
+    return branches, events
 
 
-def _linked(spectrum):
-    return [(b.parity, b.v_values, b.states) for b in spectrum.branches], spectrum.events
+def _linked(branches):
+    return [(b.parity, b.index.tolist()) for b in branches]
 
 
 def _preset_case(name, v_grid):
@@ -251,7 +265,7 @@ def test_linking_matches_greedy_scan(name):
         # disappear events
         case = _preset_case(name, np.linspace(-12.0, 12.0, 61))
     spectrum = sweep(*case)
-    branches, events = _linked(spectrum)
+    branches, events = _linked(spectrum.branches), spectrum.events
     assert (branches, events) == _greedy_link(spectrum.v_grid, spectrum.levels)
     if name == "fig6_stride20":
         assert len(branches) > 300 and events
@@ -277,21 +291,21 @@ def _state(e, parity="+"):
 def test_linking_tie_goes_to_lowest_index(candidates, expected):
     later = [c if isinstance(c, BoundStateSolution) else _state(c) for c in candidates]
     v_grid = np.array([0.0, 1.0, 2.0])
-    levels = [[_state(0.0)], later, []]
+    levels = _record([[_state(0.0)], later, []])
     branches, events = spectra._link(v_grid, levels)
     first = branches[0]
-    assert first.v_values == [0.0, 1.0]
-    assert first.states[1] is later[[s.energy for s in later].index(expected)]
-    linked = [(b.parity, b.v_values, b.states) for b in branches], events
-    assert linked == _greedy_link(v_grid, levels)
+    assert v_grid[levels.config[first.index]].tolist() == [0.0, 1.0]
+    # level 0 is the state at V = 0, so later[k] is level 1 + k
+    assert first.index[1] == 1 + [s.energy for s in later].index(expected)
+    assert (_linked(branches), events) == _greedy_link(v_grid, levels)
 
 
 def _per_v_sweep(pencil, geom, v_grid):
     """The sweep before V blocks: one find_bound_states call per V, then _link."""
     v_grid = np.asarray(sorted(v_grid), dtype=float)
-    levels = [find_bound_states(pencil.config(v), geom) for v in v_grid]
-    branches, events = spectra._link(v_grid, levels)
-    return levels, [(b.parity, b.v_values, b.states) for b in branches], events
+    per_v = [find_bound_states(pencil.config(v), geom) for v in v_grid]
+    branches, events = spectra._link(v_grid, _record(per_v))
+    return per_v, _linked(branches), events
 
 
 def test_batched_sweep_matches_per_v_solves():
@@ -308,12 +322,34 @@ def test_batched_sweep_matches_per_v_solves():
     cases.append((*fig6, [0.5]))
     for pencil, geom, v_grid in cases:
         spectrum = sweep(pencil, geom, v_grid)
-        levels, branches, events = _per_v_sweep(pencil, geom, v_grid)
+        per_v, branches, events = _per_v_sweep(pencil, geom, v_grid)
+        lv = spectrum.levels
+        counts = [len(sols) for sols in per_v]
+        assert np.array_equal(lv.config, np.repeat(np.arange(len(per_v)), counts))
         # every field of every level equal as a float, not merely close
-        assert spectrum.levels == levels, (pencil, len(v_grid))
-        assert [(b.parity, b.v_values, b.states) for b in spectrum.branches] == branches
+        for i, sols in enumerate(per_v):
+            for f in FIELDS:
+                got = getattr(lv, f)[lv.config == i]
+                assert np.array_equal(got, [getattr(s, f) for s in sols]), (pencil, i, f)
+        assert _linked(spectrum.branches) == branches
         assert spectrum.events == events
-    assert sum(len(lv) for lv in spectrum.levels) > 0
+    assert lv.energy.size > 0
+
+
+def test_sweep_builds_no_bound_state_solution(monkeypatch, tmp_path):
+    # a sweep keeps its levels as arrays, from the block solver to the CSV
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a BoundStateSolution")
+
+    monkeypatch.setattr(boundstates, "BoundStateSolution", refuse)
+    pencil, geom, v_grid = _preset_case("fig6", np.linspace(-12.0, 12.0, 2400)[::20][:40])
+    with pytest.raises(AssertionError):
+        find_bound_states(pencil.config(v_grid[0]), geom)  # the patch is in force
+    assert sweep(pencil, geom, v_grid).levels.energy.size > 1000
+    out = tmp_path / "fig6.csv"
+    argv = ["sweep", "--preset", "fig6", "--vmin", "-12", "--vmax", "-6", "--nv", "40"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 1000
 
 
 def test_type_p_connector_crosses_imaginary_band():
@@ -323,14 +359,15 @@ def test_type_p_connector_crosses_imaginary_band():
     pencil = PencilSpec("P1", 1, 1, 1)
     geom = Geometry.centered(0.5)
     spectrum = sweep(pencil, geom, np.linspace(0.5, 2.5, 21))
-    plus = [b for b in spectrum.branches if b.parity == "+" and len(b.states) >= 15]
+    lv = spectrum.levels
+    plus = [b for b in spectrum.branches if b.parity == "+" and b.index.size >= 15]
     assert plus
-    signs = {int(np.sign(s.k2)) for s in plus[0].states}
+    signs = set(np.sign(lv.k2[plus[0].index]).astype(int).tolist())
     assert signs == {-1, 1}  # the branch spans both regions
     inner = [
         b
         for b in spectrum.branches
-        if b.parity == "-" and all(s.k2 < 0 and s.energy > 0 for s in b.states)
+        if b.parity == "-" and np.all((lv.k2[b.index] < 0) & (lv.energy[b.index] > 0))
     ]
     assert inner  # the additional branch confined to the evanescent band
 
