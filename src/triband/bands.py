@@ -26,18 +26,17 @@ from .model import (
     REDUCE_RTOL,
 )
 
-# Acceptable relative residual of F(E) - G(E) k^2 after root polishing.
-ROOT_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class BandTriple:
-    """The three band energies at one wave number, sorted ascending."""
+    """The three band energies at each wave number, sorted ascending: floats
+    at a scalar k, 1-D arrays at an array of k.  flat_flag, one bool, marks
+    the closed-form bands of a flat-band plane."""
 
-    e_minus: float
-    e_mid: float
-    e_plus: float
-    k: float
+    e_minus: float | np.ndarray
+    e_mid: float | np.ndarray
+    e_plus: float | np.ndarray
+    k: float | np.ndarray
     flat_flag: bool = False
 
 
@@ -68,50 +67,34 @@ class SigmaCoefficients:
     energy: float
 
 
-def _cubic_coeffs(cfg: PotentialConfig, k2: float):
+def _cubic_roots(cfg: PotentialConfig, k):
+    """Sorted roots (n, 3) of the dispersion cubic at each k of a 1-D array:
+    the eigenvalues np.roots takes, polished with accepted-only Newton steps."""
     v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
-    return (
-        1.0,
-        -(v1 + v2 + v3),
-        v1 * v2 + v1 * v3 + v2 * v3 - k2,
-        -v1 * v2 * v3 + k2 * va,
-    )
-
-
-def dispersion_bands(cfg: PotentialConfig, k: float) -> BandTriple:
-    """Solve the cubic dispersion at real k.
-
-    On the flat-band planes the flat energy is an exact root for every k and
-    the cubic reduces to an explicit quadratic for the dispersive pair, so
-    those roots are evaluated in closed form (this also stays exact at the
-    multiple-root points k = 0).  Generic configurations use companion-matrix
-    eigenvalues (np.roots) polished with accepted-only Newton steps.
-    """
-    k2 = float(k) * float(k)
-    if not np.isfinite(k2):  # Python floats overflow to inf without a warning
-        raise DomainError(f"k^2 is not finite at k = {k}")
-    # the exact reduction is keyed on the strict snap tolerance; membership as
-    # reported by classify_flat stays at the looser PLANE_RTOL
-    if cfg.on_plane_a(REDUCE_RTOL):
-        e0, center, half = cfg.v2, cfg.v2, 0.5 * (cfg.v1 - cfg.v3)
-    elif cfg.on_plane_b(REDUCE_RTOL):
-        e0, center, half = cfg.v1, 0.5 * (cfg.v1 + cfg.v2), 0.5 * (cfg.v1 - cfg.v2)
-    else:
-        e0 = None
-    if e0 is not None:
-        r = np.sqrt(k2 + half * half)
-        triple = sorted([center - r, float(e0), center + r])
-        return BandTriple(triple[0], triple[1], triple[2], float(k), True)
-    coeffs = _cubic_coeffs(cfg, k2)
-    roots = np.roots(coeffs)
-    scale = max(1.0, abs(coeffs[1]), abs(coeffs[2]), abs(coeffs[3]))
+    k2 = (k * k)[:, None]  # a column, so each coefficient broadcasts over its k's roots
+    c3 = np.ones_like(k2)
+    c2 = -(v1 + v2 + v3) * c3
+    c1 = v1 * v2 + v1 * v3 + v2 * v3 - k2
+    c0 = -v1 * v2 * v3 + k2 * va
+    coeffs = np.hstack([c3, c2, c1, c0])
+    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
+    # np.roots strips trailing zero coefficients, takes the companion-matrix
+    # eigenvalues of the rest and appends a zero root per stripped one; the
+    # 3x3 companion matrix of a zero c0 has other eigenvalues in the last bit
+    degree = 3 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    roots = np.zeros((k.size, 3), dtype=complex)
+    for d in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == d)
+        companion = np.repeat(np.eye(d, k=-1)[None], rows.size, axis=0)
+        companion[:, 0] = -coeffs[rows, 1 : d + 1]
+        roots[rows, :d] = np.linalg.eigvals(companion)
     # multiple roots split into conjugate pairs of size O(eps^(1/3)); genuine
     # complex roots cannot occur (the polynomial changes sign on both sides of
     # min/max(v1, v3)), so only a large imaginary part signals trouble
-    if np.max(np.abs(roots.imag)) > 1e-5 * max(1.0, np.max(np.abs(roots.real))):
-        raise DegenerateRoots(f"complex dispersion roots at k = {k}: {roots}")
+    bad = np.abs(roots.imag).max(axis=1) > 1e-5 * np.maximum(1.0, np.abs(roots.real).max(axis=1))
+    if bad.any():
+        raise DegenerateRoots(f"complex dispersion roots at k = {k[bad][0]}: {roots[bad][0]}")
     e = np.sort(roots.real)
-    c3, c2, c1, c0 = coeffs
 
     def poly(x):
         return ((c3 * x + c2) * x + c1) * x + c0
@@ -128,11 +111,44 @@ def dispersion_bands(cfg: PotentialConfig, k: float) -> BandTriple:
         e = np.where(better, trial, e)
         p = np.where(better, p_trial, p)
     order = np.argsort(e)
-    e, p = e[order], p[order]
-    fscale = 1.0 + np.abs((e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3))
-    if np.any(np.abs(p) > 1e-8 * np.maximum(fscale, scale)):
-        raise DegenerateRoots(f"root residual {np.abs(p)} too large at k = {k}")
-    return BandTriple(float(e[0]), float(e[1]), float(e[2]), float(k), False)
+    e, p = np.take_along_axis(e, order, 1), np.take_along_axis(p, order, 1)
+    fscale = 1.0 + np.abs((e - v1) * (e - v2) * (e - v3))
+    bad = np.any(np.abs(p) > 1e-8 * np.maximum(fscale, scale), axis=1)
+    if bad.any():
+        raise DegenerateRoots(f"root residual {np.abs(p[bad][0])} too large at k = {k[bad][0]}")
+    return e
+
+
+def dispersion_bands(cfg: PotentialConfig, k) -> BandTriple:
+    """Solve the cubic dispersion at real k, elementwise: a float k gives a
+    BandTriple of floats, a 1-D array of k one of arrays.
+
+    On the flat-band planes the flat energy is an exact root for every k and
+    the cubic reduces to an explicit quadratic for the dispersive pair, so
+    those roots are evaluated in closed form (this also stays exact at the
+    multiple-root points k = 0).  Elsewhere _cubic_roots solves all k at once.
+    """
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    # k^2 is finite exactly for |k| < 2^512; the comparison also catches nan
+    overflow = ~(np.abs(ks) < 2.0**512)
+    if overflow.any():
+        raise DomainError(f"k^2 is not finite at k = {ks[overflow][0]}")
+    # the exact reduction is keyed on the strict snap tolerance; membership as
+    # reported by classify_flat stays at the looser PLANE_RTOL
+    if cfg.on_plane_a(REDUCE_RTOL):
+        e0, center, half = cfg.v2, cfg.v2, 0.5 * (cfg.v1 - cfg.v3)
+    elif cfg.on_plane_b(REDUCE_RTOL):
+        e0, center, half = cfg.v1, 0.5 * (cfg.v1 + cfg.v2), 0.5 * (cfg.v1 - cfg.v2)
+    else:
+        e0 = None
+    if e0 is None:
+        e = _cubic_roots(cfg, ks)
+    else:  # a stable sort keeps tied energies in order, as sorted() does
+        r = np.sqrt(ks * ks + half * half)
+        e = np.sort(np.column_stack([center - r, np.full_like(r, e0), center + r]), kind="stable")
+    if np.ndim(k) == 0:
+        return BandTriple(*map(float, e[0]), float(ks[0]), e0 is not None)
+    return BandTriple(*e.T, ks, e0 is not None)
 
 
 def classify_flat(cfg: PotentialConfig) -> FlatBandClass:
@@ -179,20 +195,18 @@ def panel_class(cfg: PotentialConfig) -> str:
 
 @dataclass(frozen=True)
 class BandSweep:
-    """Band triples over a k grid plus the diagram class of the configuration."""
+    """Bands over a k grid (one BandTriple of arrays, k the grid) and the diagram class."""
 
     cfg: PotentialConfig
-    k_grid: np.ndarray
-    triples: list
+    bands: BandTriple
     panel: str
 
 
 def band_sweep(cfg: PotentialConfig, k_grid) -> BandSweep:
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.size == 0:
+    """The bands of cfg over a nonempty k grid, from one dispersion_bands call."""
+    if np.size(k_grid) == 0:
         raise ValueError("k_grid must be nonempty")
-    triples = [dispersion_bands(cfg, k) for k in k_grid]
-    return BandSweep(cfg, k_grid, triples, panel_class(cfg))
+    return BandSweep(cfg, dispersion_bands(cfg, np.atleast_1d(k_grid)), panel_class(cfg))
 
 
 def band_eigenfunction(cfg: PotentialConfig, k: float, branch: str) -> SigmaCoefficients:

@@ -1,10 +1,11 @@
 """Command-line front end: band sweeps, bound states, strength sweeps,
 point-interaction limits and the self-verification suite.
 
-The library computes with m = 1, and --m is the one rescaling: strengths are
-divided by m and widths multiplied by it, E(m; V, l) = m E(1; V/m, m l).  A
-preset is a set of flag defaults.  Every file output gets a JSON manifest
-sidecar.  Exit codes: 0 ok, 1 usage, 2 numerical domain, 3 verification failed.
+The library computes with m = 1, and --m is the one rescaling: strengths and
+wave numbers are divided by m and widths multiplied by it,
+E(m; V, l, k) = m E(1; V/m, m l, k/m).  A preset is a set of flag defaults.
+Every file output gets a JSON manifest sidecar.  Exit codes: 0 ok, 1 usage,
+2 numerical domain, 3 verification failed.
 """
 
 from __future__ import annotations
@@ -133,12 +134,14 @@ def _write_manifests(args, record):
 
 def cmd_bands(args):
     cfg = PotentialConfig(*(v / args.m for v in args.v))
-    ks = np.linspace(-args.kmax, args.kmax, args.nk)
-    result = band_sweep(cfg, ks)
-    rows = [
-        (tr.k, tr.e_minus, tr.e_mid, tr.e_plus, result.panel) for tr in result.triples
-    ]
-    io_utils.write_csv(args.out, ["k", "e_minus", "e_mid", "e_plus", "panel_class"], rows)
+    result = band_sweep(cfg, np.linspace(-args.kmax, args.kmax, args.nk) / args.m)
+    columns = ["k", "e_minus", "e_mid", "e_plus"]  # fields of the BandTriple record
+    io_utils.write_csv(
+        args.out,
+        [*columns, "panel_class"],
+        zip(*(getattr(result.bands, c).tolist() for c in columns)),
+        row_format="{:.12g},{:.12g},{:.12g},{:.12g}," + result.panel + "\r\n",
+    )
     flat = classify_flat(cfg)
     sys.stderr.write(
         f"panel {result.panel}; on_A={flat.on_a} on_B={flat.on_b} "
@@ -341,8 +344,9 @@ def build_parser():
     bs = sub.add_parser("boundstates", help="bound states of one rectangular potential")
     bs.add_argument("--v", type=_triple, default=(0.0, 0.0, 0.0), metavar="V11,V22,V33")
     bs.add_argument("--m", type=_positive_float, default=1.0)
-    bs.add_argument("--l", type=_positive_float, default=1.0)
-    bs.add_argument("--x1", type=_finite_float, default=None)
+    width = bs.add_mutually_exclusive_group()  # --x1/--x2 place the rectangle instead
+    width.add_argument("--l", type=_positive_float, default=1.0)
+    width.add_argument("--x1", type=_finite_float, default=None)
     bs.add_argument("--x2", type=_finite_float, default=None)
     bs.add_argument("--preset", choices=sorted(PRESETS["boundstates"]), default=None)
     bs.add_argument("--ngrid", type=_positive_int, default=N_GRID)

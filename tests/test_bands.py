@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triband import bands
 from triband.bands import (
     band_eigenfunction,
     band_sweep,
@@ -9,7 +12,49 @@ from triband.bands import (
     dispersion_bands,
     panel_class,
 )
-from triband.model import SQRT2, PotentialConfig
+from triband.model import REDUCE_RTOL, SQRT2, DomainError, PotentialConfig
+
+
+def reference_bands(cfg, k):
+    """(e_minus, e_mid, e_plus, k, flat_flag) at one k, solved the way
+    dispersion_bands did one k at a time: sorted closed forms on the planes,
+    np.roots plus accepted-only Newton polish elsewhere."""
+    k2 = float(k) * float(k)
+    if cfg.on_plane_a(REDUCE_RTOL):
+        e0, center, half = cfg.v2, cfg.v2, 0.5 * (cfg.v1 - cfg.v3)
+    elif cfg.on_plane_b(REDUCE_RTOL):
+        e0, center, half = cfg.v1, 0.5 * (cfg.v1 + cfg.v2), 0.5 * (cfg.v1 - cfg.v2)
+    else:
+        e0 = None
+    if e0 is not None:
+        r = np.sqrt(k2 + half * half)
+        return (*sorted([center - r, float(e0), center + r]), float(k), True)
+    v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
+    coeffs = (1.0, -(v1 + v2 + v3), v1 * v2 + v1 * v3 + v2 * v3 - k2, -v1 * v2 * v3 + k2 * va)
+    roots = np.roots(coeffs)
+    scale = max(1.0, abs(coeffs[1]), abs(coeffs[2]), abs(coeffs[3]))
+    assert np.max(np.abs(roots.imag)) <= 1e-5 * max(1.0, np.max(np.abs(roots.real)))
+    e = np.sort(roots.real)
+    c3, c2, c1, c0 = coeffs
+
+    def poly(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    p = poly(e)
+    for _ in range(2):
+        dp = (3.0 * c3 * e + 2.0 * c2) * e + c1
+        step = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        step = np.clip(step, -0.1 * scale, 0.1 * scale)
+        trial = e - step
+        p_trial = poly(trial)
+        better = np.abs(p_trial) < np.abs(p)
+        e = np.where(better, trial, e)
+        p = np.where(better, p_trial, p)
+    order = np.argsort(e)
+    e, p = e[order], p[order]
+    fscale = 1.0 + np.abs((e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3))
+    assert not np.any(np.abs(p) > 1e-8 * np.maximum(fscale, scale))
+    return (float(e[0]), float(e[1]), float(e[2]), float(k), False)
 
 
 def eigenvector_system_residual(cfg, k, sig):
@@ -98,10 +143,77 @@ def test_panel_classes():
     assert panel_class(mk(1.0, -5.0, 0.0)) == "a"
 
 
-def test_band_sweep_annotates_panel():
-    sweep = band_sweep(PotentialConfig(3.0, 1.5, 0.0), np.linspace(-5, 5, 41))
-    assert len(sweep.triples) == 41
+def test_band_sweep_annotates_panel(monkeypatch):
+    calls, solve = [], bands.dispersion_bands
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(bands, "dispersion_bands", counted)
+    k = np.linspace(-5, 5, 41)
+    sweep = band_sweep(PotentialConfig(3.0, 1.5, 0.0), k)
+    assert len(calls) == 1  # the whole grid in one call
+    assert np.array_equal(sweep.bands.k, k)
+    for energies in (sweep.bands.e_minus, sweep.bands.e_mid, sweep.bands.e_plus):
+        assert energies.shape == (41,)
     assert sweep.panel in "abcdefghij"
+
+
+def _reference_cases():
+    rng = np.random.default_rng(15)
+    cfgs = [PotentialConfig(*rng.uniform(-4, 4, size=3)) for _ in range(40)]
+    for v11, v22 in rng.uniform(-4, 4, size=(4, 2)):
+        cfgs.append(PotentialConfig(v11, v22, 2 * v22 - v11))  # plane A
+        cfgs.append(PotentialConfig(v11, v22, v11 + 2.0))  # plane B
+    # a zero v1, v2 or v3 makes c0 = 0 at k = 0, where np.roots strips it and
+    # solves the 2x2 companion; the 3x3 one differs in the last bit there
+    for a, b in rng.uniform(-6, 6, size=(4, 2)):
+        cfgs += [PotentialConfig(-1.0, a, b), PotentialConfig(a, 0.0, b), PotentialConfig(a, b, 1.0)]
+    cfgs += [
+        PotentialConfig.from_renormalized(0.6, 0.6, 0.6),  # planes A and B
+        PotentialConfig(0.0, 0.0, 0.0),
+        PotentialConfig(-1.0, -0.0, 1.0),  # three equal zeros at k = 0, one of them -0.0
+        PotentialConfig(3.0, 0.0, 0.0),
+        PotentialConfig(3.0, 0.7, 0.0),
+        PotentialConfig(3.0, 1.5, 0.0),
+    ]
+    k = np.concatenate([np.linspace(-5, 5, 101), [0.0, -0.0, 1e-9, 37.5]])
+    return cfgs, k
+
+
+def test_band_record_equals_the_per_k_reference_bitwise():
+    cfgs, k = _reference_cases()
+    for cfg in cfgs:
+        record = dispersion_bands(cfg, k)
+        ref = np.array([reference_bands(cfg, x)[:4] for x in k])
+        for j, name in enumerate(("e_minus", "e_mid", "e_plus", "k")):
+            got = getattr(record, name)
+            assert got.shape == k.shape
+            assert got.tobytes() == ref[:, j].tobytes(), (cfg, name)
+        assert record.flat_flag == reference_bands(cfg, 1.0)[4]
+        scalar = dispersion_bands(cfg, 0.7)  # a float k keeps a record of floats
+        assert all(type(x) is float for x in (scalar.e_minus, scalar.e_mid, scalar.e_plus))
+        assert (scalar.e_minus, scalar.e_mid, scalar.e_plus, scalar.k, scalar.flat_flag) == (
+            reference_bands(cfg, 0.7)
+        )
+
+
+@pytest.mark.parametrize(
+    "k", [1e300, -(2.0**512), np.inf, np.nan, np.array([0.0, 1.0, 2.0**512])]
+)
+@pytest.mark.parametrize("cfg", [PotentialConfig(3.0, 0.7, 0.0), PotentialConfig(3.0, 1.5, 0.0)])
+def test_overflowing_k_squared_is_a_domain_error(cfg, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
+        with pytest.raises(DomainError, match="k\\^2 is not finite"):
+            dispersion_bands(cfg, k)
+
+
+def test_largest_k_below_the_bound_has_bands():
+    # 2^512 is the exact bound: the largest float below it has a finite square
+    largest = np.nextafter(2.0**512, 0.0)
+    assert np.isfinite(dispersion_bands(PotentialConfig(3.0, 1.5, 0.0), largest).e_plus)
 
 
 @given(

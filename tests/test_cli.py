@@ -48,6 +48,30 @@ def test_bands_uniform_preset_shifted(tmp_path):
     assert k0[3] == pytest.approx(3.0, abs=1e-10)
 
 
+def test_mass_rescales_the_wave_numbers(tmp_path):
+    # E(m; V, k) = m E(1; V/m, k/m): V = (6, 3, 0) and |k| <= 10 at m = 2 are
+    # V = (3, 1.5, 0) and |k| <= 5 in units of m, the same rows
+    scaled, plain = tmp_path / "scaled.csv", tmp_path / "plain.csv"
+    grid = ["--nk", "41", "--out"]
+    assert main(["bands", "--v", "6,3,0", "--m", "2", "--kmax", "10", *grid, str(scaled)]) == 0
+    assert main(["bands", "--v", "3,1.5,0", "--kmax", "5", *grid, str(plain)]) == 0
+    assert scaled.read_bytes() == plain.read_bytes()
+
+
+# the SHA-256 of `bands --v V --nk 401`, off the flat-band planes, k = 0 included
+BANDS_DIGESTS = {
+    "3,0.7,0": "cebeadd25ccd968403170c007c19d8c20475ab58f06786ba65635fcd866a1209",
+    "3,0,0": "77b8f9c32c50896a7fadcf3ba896b8e553b78e65025e68239627ecc5690d1d8c",
+}
+
+
+def test_bands_off_the_planes_write_the_pinned_bytes(tmp_path):
+    for v, digest in BANDS_DIGESTS.items():
+        out = tmp_path / f"{v}.csv"
+        assert main(["bands", "--v", v, "--nk", "401", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, v
+
+
 def test_flat_command(capsys):
     code, out, err = run(["flat", "--v11", "-0.5", "--v33", "1.5", "--m", "1"], capsys)
     assert code == 0
@@ -74,6 +98,15 @@ def test_mass_rescales_the_inputs_only(tmp_path):
     argv = ["boundstates", "--v", "7.5,7.5,7.5", "--m", "2.5", "--l", "0.2", "--out", str(scaled)]
     assert main(argv) == 0
     assert scaled.read_bytes() == fig3.read_bytes()
+
+
+def test_edges_override_the_preset_width(tmp_path):
+    # a preset's l is a default: --x1/--x2 given with fig3 place its rectangle
+    fig3, edges = tmp_path / "fig3.csv", tmp_path / "edges.csv"
+    assert main(["boundstates", "--preset", "fig3", "--out", str(fig3)]) == 0
+    argv = ["boundstates", "--preset", "fig3", "--x1", "-0.25", "--x2", "0.25"]
+    assert main([*argv, "--out", str(edges)]) == 0
+    assert edges.read_bytes() == fig3.read_bytes()
 
 
 def test_boundstates_flags_override_the_preset(tmp_path):
@@ -217,7 +250,7 @@ def test_sweep_rescales_strengths_like_boundstates(tmp_path):
     assert column(sw, "E_b") == column(bs, "E_b")
 
 
-# the SHA-256 of `sweep --preset figN --nv 241`, as the CI workflow pins them
+# the SHA-256 of `sweep --preset figN --nv 241`, pinned here and nowhere else
 SWEEP_DIGESTS = {
     "fig4": "04d8e8ef944745e18d3ebd00907082b41cd38ba093e682007422ab61002ca965",
     "fig5": "777bf4aa81b44595ad1d808cb709f4541ed292bf9675099dfc62582a260bb0d4",
@@ -306,6 +339,8 @@ def test_usage_error_exit_code():
         ["pointlimit", "--g", "inf"],
         ["pointlimit", "--g", "nan"],
         ["pointlimit", "--converge", "--l0", "inf"],
+        # --l and --x1/--x2 both give the width
+        ["boundstates", "--v", "1,1,1", "--l", "1", "--x1", "0", "--x2", "2"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
