@@ -46,8 +46,8 @@ from .model import (
     kappa,
     plane_of,
     rho,
+    sc_bounded,
     sc_kernels,
-    sc_ratio,
 )
 
 # Scan-window half-widths around the residual poles at E = 0 and E = va, and
@@ -175,14 +175,9 @@ def _residuals(e, half, v1, v2, v3, va, plane, v2_zero):
     k2 = K2_OF_PLANE[plane](e, v1, v2, v3, va)
     kap = kappa(e)
     # (s, c) = (s2, c2) where k2 >= 0; where k2 < 0 both are divided by
-    # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  Each kernel is evaluated
-    # on its own points only: cosh overflows where the ratio is used, and an
-    # overflow in a discarded branch would still warn.
-    neg = k2 < 0
-    s = np.empty_like(e)
-    c = np.ones_like(e)
-    s[neg] = sc_ratio(k2[neg], half)
-    s[~neg], c[~neg] = sc_kernels(k2[~neg], half)
+    # c2 = cosh >= 1, so (s, c) = (tanh ratio, 1).  sc_bounded runs every
+    # branch on every E with no mask, and none can warn: cosh never runs
+    s, c = sc_bounded(k2, half)
     # plus family: E * r_plus, or r_plus itself when v2 == 0
     fac = kap if v2_zero else kap * (e - v2)
     lead = 1.0 if v2_zero else e

@@ -12,10 +12,10 @@ and the scalar kernels defined here: the dispersion k^2(E) with
 W(E) = k^2/(E - v2), one expression each per flat-band plane (`dispersion`),
 the exterior decay rate kappa and component ratio rho of the decaying ray,
 and the trigonometric kernels s(w, t) = sin(sqrt(w) t)/sqrt(w),
-c(w, t) = cos(sqrt(w) t), which are analytically continued to w < 0
-(imaginary wave number) via sinh/cosh.  Using (s, c) of the real variable
-w = k^2 keeps every residual real-analytic in E, so no branch bookkeeping for
-imaginary k is needed anywhere.
+c(w, t) = cos(sqrt(w) t), continued to w < 0 (imaginary wave number) via
+sinh/cosh (`sc_kernels`), or as the bounded pair (s/c, 1) there, the scan's
+one-pass form (`sc_bounded`).  Using (s, c) of the real variable w = k^2 keeps
+every residual real-analytic in E, so no branch bookkeeping for imaginary k is needed.
 
 Energies are in units of the mass gap m and lengths in 1/m, so m = 1 in every
 module but triband.cli, whose --m rescales.  All functions are pure and stateless.
@@ -174,6 +174,11 @@ def rho(e):
 
 # --- trigonometric kernels ---------------------------------------------------
 
+def _sc_series(u, t):
+    """(s, c) through their series in u = w t^2, for |u| < 1e-6."""
+    return t * (1.0 - u / 6.0 + u * u / 120.0), 1.0 - u / 2.0 + u * u / 24.0
+
+
 def sc_kernels(w, t):
     """Return (s, c) with s = sin(sqrt(w) t)/sqrt(w), c = cos(sqrt(w) t).
 
@@ -191,30 +196,30 @@ def sc_kernels(w, t):
         z = q * t[pick]
         s[pick] = sin(z) / q
         c[pick] = cos(z)
-    us, ts = u[small], t[small]
-    s[small] = ts * (1.0 - us / 6.0 + us * us / 120.0)
-    c[small] = 1.0 - us / 2.0 + us * us / 24.0
+    s[small], c[small] = _sc_series(u[small], t[small])
     if s.ndim == 0:
         return float(s), float(c)
     return s, c
 
 
-def sc_ratio(w, t):
-    """Return s(w, t)/c(w, t) for w <= 0 without overflow (tanh form).
+def sc_bounded(w, t):
+    """(s, c) where w >= 0 and (s/c, 1) = (tanh(sqrt(-w) t)/sqrt(-w), 1) where w < 0.
 
-    Only meaningful where c does not vanish, i.e. for w <= 0 where
-    c = cosh >= 1; used to normalize residuals in the imaginary-k region.
+    One pass with no masks: tanh, sin and cos run on every point and np.where
+    picks.  All three are bounded on finite input and q = 1 on the series
+    points (|w| t^2 < 1e-6), so no discarded branch can warn.  Each element
+    gets the floats of its own branch (sc_kernels, or tanh and its series).
     """
-    w, t = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(t, dtype=float))
     u = w * t * t
-    r = np.empty_like(u)
-    small = np.abs(u) < 1e-6
-    q = np.sqrt(np.abs(w[~small]))
-    r[~small] = np.tanh(q * t[~small]) / q
-    r[small] = t[small] * (1.0 + u[small] / 3.0)
-    if r.ndim == 0:
-        return float(r)
-    return r
+    small, neg = np.abs(u) < 1e-6, w < 0
+    q = np.where(small, 1.0, np.sqrt(np.abs(w)))
+    z = q * t
+    s = np.where(neg, np.tanh(z), np.sin(z)) / q
+    c = np.where(neg, 1.0, np.cos(z))
+    if small.any():
+        series = np.where(neg, (t * (1.0 + u / 3.0), np.ones_like(u)), _sc_series(u, t))
+        s, c = np.where(small, series, (s, c))
+    return s, c
 
 
 # --- scalar kernels ----------------------------------------------------------

@@ -13,6 +13,7 @@ from triband.boundstates import (
     ZERO_WINDOW,
     BoundStateSolution,
     _ScanResiduals,
+    _form,
     boundary_values,
     connection_matrix,
     current,
@@ -32,7 +33,6 @@ from triband.model import (
     PotentialConfig,
     kappa,
     sc_kernels,
-    sc_ratio,
 )
 from triband.spectra import PencilSpec, sweep
 from triband.verify import comparison_domain, random_configs
@@ -229,6 +229,24 @@ def _ref_k2(cfg, e):
     return (e - cfg.v1) * (e - cfg.v2) * (e - cfg.v3) / (e - cfg.va)
 
 
+def sc_ratio(w, t):
+    """Return s(w, t)/c(w, t) for w <= 0 without overflow (tanh form).
+
+    Only meaningful where c does not vanish, i.e. for w <= 0 where
+    c = cosh >= 1; used to normalize residuals in the imaginary-k region.
+    """
+    w, t = np.broadcast_arrays(np.asarray(w, dtype=float), np.asarray(t, dtype=float))
+    u = w * t * t
+    r = np.empty_like(u)
+    small = np.abs(u) < 1e-6
+    q = np.sqrt(np.abs(w[~small]))
+    r[~small] = np.tanh(q * t[~small]) / q
+    r[small] = t[small] * (1.0 + u[small] / 3.0)
+    if r.ndim == 0:
+        return float(r)
+    return r
+
+
 def _ref_both(cfg, geom, e):
     k2 = _ref_k2(cfg, e)
     v2, half = cfg.v2, 0.5 * geom.l
@@ -382,6 +400,73 @@ def test_scan_residuals_hold_one_form():
     fig8 = PencilSpec("P1", 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="one form"):
         _ScanResiduals.of([fig8.config(1.0), fig8.config(0.0)], geom)
+
+
+# Two configurations of each residual form (_form), by renormalized strengths
+# (v1, v2, v3); plane AB with v2 = 0 holds only v1 = v2 = v3 = 0.
+FORM_CASES = [
+    [PotentialConfig.from_renormalized(*v) for v in pair]
+    for pair in (
+        ((-0.6, 0.3, 0.8), (-0.4, -0.5, 0.7)),  # generic
+        ((-0.6, 0.0, 0.8), (-0.4, 0.0, 0.7)),  # generic, v2 = 0
+        ((-0.6, 0.1, 0.8), (-0.8, -0.05, 0.7)),  # plane A
+        ((-0.6, 0.0, 0.6), (-0.3, 0.0, 0.3)),  # plane A, v2 = 0
+        ((0.5, 0.5, 0.5), (-0.2, -0.2, -0.2)),  # plane AB
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),  # plane AB, v2 = 0
+    )
+]
+
+
+def _kernel_abscissas(cfg):
+    """A gap grid, the zeros of k^2 in the gap (k^2 = 0 exactly on plane AB)
+    with points either side where |k^2| (l/2)^2 < 1e-6, and points next to the
+    va pole off the planes, where |k^2| is huge."""
+    near = np.array([1e-12, 1e-10, 1e-9, 1e-8, 1e-7])
+    zeros = [v for v in (cfg.v1, cfg.v2, cfg.v3) if abs(v) < 1.0]
+    e = [np.linspace(-0.99, 0.99, 397), zeros]
+    e += [z + near for z in zeros] + [z - near for z in zeros]
+    if _form(cfg)[0] == "generic":
+        e += [cfg.va + near, cfg.va - near]
+    return np.concatenate(e)
+
+
+def test_scan_residuals_equal_the_per_branch_reference_bitwise():
+    geom = Geometry.centered(2.0)
+    half = 0.5 * geom.l
+    assert len({_form(cfgs[0]) for cfgs in FORM_CASES}) == 6
+    k2_all = []
+    for cfgs in FORM_CASES:
+        es = [_kernel_abscissas(cfg) for cfg in cfgs]
+        refs = [_ref_both(cfg, geom, e) for cfg, e in zip(cfgs, es)]
+        res = _ScanResiduals.of(cfgs, geom)
+        for i, e in enumerate(es):
+            for got, want in zip(res.at(i).both(e), refs[i]):
+                assert np.array_equal(got, want), (cfgs[i], e[got != want])
+        # one configuration per abscissa, as _solve_block refines a block
+        idx = np.repeat(np.arange(len(cfgs)), [e.size for e in es])
+        for got, want in zip(res.at(idx).both(np.concatenate(es)), zip(*refs)):
+            assert np.array_equal(got, np.concatenate(want)), cfgs
+        k2_all += [res.at(i).k2(e) for i, e in enumerate(es)]
+    k2 = np.concatenate(k2_all)
+    u = k2 * half * half
+    small = np.abs(u) < 1e-6
+    # the series of both signs, k^2 = 0 itself and cosh past overflow are covered
+    assert np.any(small & (k2 > 0)) and np.any(small & (k2 < 0)) and np.any(k2 == 0)
+    assert np.any(np.sqrt(np.maximum(-k2, 0.0)) * half > 710.0)
+
+
+def test_scan_residuals_do_not_warn_where_cosh_would_overflow():
+    cfg = FORM_CASES[0][0]
+    geom = Geometry.centered(2.0)
+    e = _kernel_abscissas(cfg)
+    res = _ScanResiduals.of([cfg], geom).at(0)
+    k2 = res.k2(e)
+    # k^2 > 0 points beside k^2 << 0 points whose cosh(sqrt(-k^2) l/2) overflows
+    assert np.any(k2 > 0) and np.any(np.sqrt(np.maximum(-k2, 0.0)) * 0.5 * geom.l > 710.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rp, rm = res.both(e)
+    assert np.all(np.isfinite(rp)) and np.all(np.isfinite(rm))
 
 
 def _phase_index(cfg, geom, sol):

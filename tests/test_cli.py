@@ -368,7 +368,7 @@ def test_domain_error_exit_code(capsys):
     "argv",
     [
         ["pointlimit", "--g", "1e308"],  # divides by zero in pointlimits.chi
-        ["boundstates", "--l", "1e300"],  # overflows in model.sc_kernels
+        ["boundstates", "--l", "1e300"],  # overflows in model.sc_bounded
         ["sweep", "--vmin", "1e300", "--vmax", "1e300", "--nv", "1"],  # overflows
         ["bands", "--v", "1,2,3", "--kmax", "1e300", "--nk", "3"],  # k^2 = inf
     ],
