@@ -13,7 +13,6 @@ from .bands import (
     dispersion_bands,
 )
 from .boundstates import (
-    BoundStateSolution,
     ConnectionMatrix,
     Levels,
     WaveFunction,

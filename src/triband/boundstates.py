@@ -76,22 +76,14 @@ class ConnectionMatrix:
 
 
 @dataclass(frozen=True)
-class BoundStateSolution:
-    """One bound-state level with its exterior decay data."""
-
-    energy: float
-    parity: str  # "+" (psi2 even about the midpoint) or "-" (psi2 odd)
-    kappa: float
-    rho: float
-    k2: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class Levels:
-    """Levels of several configurations as 1-D arrays of one length: level i
-    has the fields of a BoundStateSolution and belongs to configuration
-    config[i] (its V index in a sweep).  Sorted by configuration, then energy."""
+    """Bound-state levels as 1-D arrays of one length, sorted by configuration,
+    then energy: energy, parity ("+": psi2 even about the midpoint, "-": odd),
+    kappa, rho, k2, the residual at the root, and config, the index of the
+    level's configuration (its V index in a sweep, 0 in a single solve).
+    levels[i] is one level, with numpy scalar fields (float64 is a float, str_
+    a str), as eigenfunction takes it; a slice or boolean mask gives a sub-record.
+    """
 
     energy: np.ndarray
     parity: np.ndarray
@@ -100,6 +92,12 @@ class Levels:
     k2: np.ndarray
     residual: np.ndarray
     config: np.ndarray
+
+    def __len__(self):
+        return self.energy.size
+
+    def __getitem__(self, key):
+        return Levels(*(getattr(self, f.name)[key] for f in fields(Levels)))
 
 
 @dataclass(frozen=True)
@@ -340,8 +338,8 @@ def find_bound_states(
     geom: Geometry,
     n_grid: int = N_GRID,
     extra_exclusions=(),
-) -> list[BoundStateSolution]:
-    """All bound-state levels in the gap, sorted by energy.
+) -> Levels:
+    """All bound-state levels in the gap as one Levels record, sorted by energy.
 
     Scans the gap minus guard windows around E = 0, E = va and the edges,
     brackets sign changes of the two family residuals on an adaptively refined
@@ -353,11 +351,10 @@ def find_bound_states(
     harnesses to equalize domains).
 
     The one-configuration case of the block solver behind
-    find_bound_states_many, so both return the same floats.
+    find_bound_states_many, so both return the same floats; config is all 0.
+    levels[i] is level i, and levels[levels.parity == "+"] the E+ sub-record.
     """
-    lv = _solve_block([cfg], geom, n_grid, extra_exclusions)
-    columns = (lv.energy, lv.parity, lv.kappa, lv.rho, lv.k2, lv.residual)
-    return [BoundStateSolution(*row) for row in zip(*(c.tolist() for c in columns))]
+    return _solve_block([cfg], geom, n_grid, extra_exclusions)
 
 
 def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = N_GRID) -> Levels:
@@ -385,7 +382,9 @@ def find_bound_states_many(cfgs, geom: Geometry, n_grid: int = N_GRID) -> Levels
 # --- eigenfunctions ----------------------------------------------------------
 
 
-def _check_solution(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
+def _check_solution(sol: Levels, cfg: PotentialConfig, geom: Geometry):
+    if np.ndim(sol.energy) != 0:
+        raise ValueError(f"expected one level, levels[i], not {np.size(sol.energy)} levels")
     if not abs(sol.energy) < 1.0:
         raise OutOfDomainSolution(f"E = {sol.energy} outside the gap")
     both = _ScanResiduals.of([cfg], geom).at(0).both(np.asarray([sol.energy]))
@@ -444,7 +443,7 @@ def _exterior_ray(parity, kap, rho, d, dist, right):
 
 
 def eigenfunction(
-    sol: BoundStateSolution,
+    sol: Levels,
     cfg: PotentialConfig,
     geom: Geometry,
     x_grid,
@@ -489,13 +488,13 @@ def eigenfunction(
     return WaveFunction(x, psi1 * scale, psi2 * scale, psi3 * scale)
 
 
-def boundary_values(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
+def boundary_values(sol: Levels, cfg: PotentialConfig, geom: Geometry):
     """One-sided (psi1, psi2, psi3) limits at both edges, unit amplitude.
 
     Returns a dict with keys 'x1-', 'x1+', 'x2-', 'x2+'.
     """
     _check_solution(sol, cfg, geom)
-    e = sol.energy
+    e = float(sol.energy)  # Python floats out, as from the other edge
     d = _exterior_amplitude(sol, geom)
     out = {}
     for key, is_right in (("x1-", False), ("x2+", True)):
@@ -508,7 +507,7 @@ def boundary_values(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometr
     return out
 
 
-def discontinuities(sol: BoundStateSolution, cfg: PotentialConfig, geom: Geometry):
+def discontinuities(sol: Levels, cfg: PotentialConfig, geom: Geometry):
     """Closed-form jumps of psi1 and psi3 at the edges, unit amplitude.
 
     Returns (delta_at_x1, delta_at_x2), each being psi_j(x-0) - psi_j(x+0)

@@ -177,17 +177,18 @@ def _wavefunction_rows(label, e, wf):
 def cmd_boundstates(args):
     cfg = PotentialConfig(*(v / args.m for v in args.v))
     geom = _geometry(args)
-    sols = find_bound_states(cfg, geom, n_grid=args.ngrid)
-    rows = [(s.parity, s.energy, s.kappa, s.residual) for s in sols]
+    lv = find_bound_states(cfg, geom, n_grid=args.ngrid)
+    columns = (lv.parity, lv.energy, lv.kappa, lv.residual)
+    rows = zip(*(c.tolist() for c in columns))
     io_utils.write_csv(args.out, ["parity", "E_b", "kappa", "residual"], rows)
     if args.wavefunction:
         span = 2.0 * geom.l
         x = np.linspace(geom.x1 - span, geom.x2 + span, args.nx)
         wrows = []
-        for s in sols:
+        for s in lv:
             wrows += _wavefunction_rows(s.parity, s.energy, eigenfunction(s, cfg, geom, x))
         io_utils.write_csv(args.wavefunction, ["parity", "E_b", *WAVEFUNCTION_COLUMNS], wrows)
-    return 0, {"n_states": len(sols)}
+    return 0, {"n_states": len(lv)}
 
 
 def cmd_sweep(args):

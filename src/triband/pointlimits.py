@@ -198,21 +198,18 @@ def convergence_study(
         v = law.v_of_l(l)
         cfg = pencil.config(v)
         geom = Geometry.centered(l)
-        states = [
-            s
-            for s in find_bound_states(cfg, geom)
-            if s.parity == want_parity and abs(s.energy - e_limit) <= capture_radius
-        ]
-        if not states:
+        lv = find_bound_states(cfg, geom)
+        e = lv.energy[(lv.parity == want_parity) & (np.abs(lv.energy - e_limit) <= capture_radius)]
+        if e.size == 0:
             raise BranchLost(
                 f"no {want_parity} state within {capture_radius:g} of {e_limit:g} at l={l:g}"
             )
-        best = min(states, key=lambda s: abs(s.energy - e_limit))
-        err = abs(best.energy - e_limit)
+        best = float(e[np.argmin(np.abs(e - e_limit))])  # the first on a tie, as min
+        err = abs(best - e_limit)
         order = None
         if prev_err is not None and err > 0 and prev_err > 0 and prev_l is not None:
             order = float(np.log(prev_err / err) / np.log(prev_l / l))
-        rows.append(ConvergenceRow(float(l), float(v), best.energy, float(err), order))
+        rows.append(ConvergenceRow(float(l), float(v), best, float(err), order))
         prev_err, prev_l = err, l
     return rows
 

@@ -84,8 +84,7 @@ def crosscheck_config(cfg, geom):
 
 
 def _crosscheck(cfg, geom, excl):
-    sol = find_bound_states(cfg, geom, extra_exclusions=excl)
-    e_solver = np.array([s.energy for s in sol])
+    e_solver = find_bound_states(cfg, geom, extra_exclusions=excl).energy
     e_oracle = np.array(oracle.oracle_bound_states(cfg, geom, extra_exclusions=excl))
     if e_solver.size != e_oracle.size:
         return False, e_solver.size, e_oracle.size, np.inf
@@ -153,13 +152,9 @@ def _solved_examples():
     ]
     out = []
     for cfg, geom in cases:
-        sols = [
-            s
-            for s in find_bound_states(cfg, geom)
-            if abs(s.energy - cfg.va) > 0.05 and abs(s.energy) > 0.05
-        ]
-        for s in sols[:3]:
-            out.append((cfg, geom, s))
+        lv = find_bound_states(cfg, geom)
+        lv = lv[(np.abs(lv.energy - cfg.va) > 0.05) & (np.abs(lv.energy) > 0.05)]
+        out += [(cfg, geom, s) for s in lv[:3]]
     return out
 
 
@@ -209,8 +204,8 @@ def check_outer_continuity():
     for v22, l in ((10.0, 2.0), (-6.0, 1.3)):
         cfg = PotentialConfig(0.0, v22, 0.0)
         geom = Geometry.centered(l)
-        isolated = [s for s in find_bound_states(cfg, geom) if abs(s.energy) > 0.1]
-        for sol in isolated[:4]:
+        lv = find_bound_states(cfg, geom)
+        for sol in lv[np.abs(lv.energy) > 0.1][:4]:
             bv = boundary_values(sol, cfg, geom)
             for j in (0, 2):
                 worst = max(worst, abs(bv["x1-"][j] - bv["x1+"][j]))
@@ -227,8 +222,8 @@ def check_type_three_squeeze():
     margins = []
     for l in (1e-2, 1e-3):
         cfg = pencil.config(law.v_of_l(l))
-        sols = find_bound_states(cfg, Geometry.centered(l))
-        margins.append(max((1.0 - abs(s.energy) for s in sols), default=0.0))
+        e = find_bound_states(cfg, Geometry.centered(l)).energy
+        margins.append(float(np.max(1.0 - np.abs(e), initial=0.0)))
     ok = margins[1] < max(margins[0], 1e-8) and margins[1] < 1e-4
     return ok, f"threshold margins {margins[0]:.3g} -> {margins[1]:.3g}"
 

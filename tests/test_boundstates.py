@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from triband.boundstates import (
     ROOT_XTOL,
     VA_WINDOW,
     ZERO_WINDOW,
-    BoundStateSolution,
     _ScanResiduals,
     _form,
     boundary_values,
@@ -23,6 +23,7 @@ from triband.boundstates import (
     general_bound_condition,
     split_residuals,
     ConnectionMatrix,
+    Levels,
     WaveFunction,
 )
 from triband.model import (
@@ -161,7 +162,33 @@ def test_reference_two_level_configuration():
 
 
 def test_free_potential_has_no_bound_states():
-    assert find_bound_states(PotentialConfig(0, 0, 0), Geometry.centered(1.0)) == []
+    assert len(find_bound_states(PotentialConfig(0, 0, 0), Geometry.centered(1.0))) == 0
+
+
+def test_level_record_indexing():
+    levels = find_bound_states(FIG3_CFG, FIG3_GEOM)
+    assert isinstance(levels, Levels) and len(levels) == 2
+    one = levels[1]
+    for f in fields(Levels):
+        assert np.ndim(getattr(one, f.name)) == 0
+        assert getattr(one, f.name) == getattr(levels, f.name)[1]
+    assert isinstance(one.energy, float) and isinstance(one.parity, str)
+    bv = boundary_values(one, FIG3_CFG, FIG3_GEOM)
+    assert {type(p) for side in bv.values() for p in side} == {float}
+    plus = levels[levels.parity == "+"]
+    assert len(plus) == 1 and plus.parity.tolist() == ["+"]
+    assert [s.energy for s in levels] == levels.energy.tolist()
+
+
+@pytest.mark.parametrize("fn", [eigenfunction, boundary_values, discontinuities])
+@pytest.mark.parametrize("pick", [slice(0, 1), slice(None)], ids=["one_slice", "whole"])
+def test_level_functions_take_one_level(fn, pick):
+    # a sub-record, even of one level, is not a level: the error names levels[i]
+    levels = find_bound_states(FIG3_CFG, FIG3_GEOM)
+    args = (np.linspace(-1.0, 1.0, 5),) if fn is eigenfunction else ()
+    with pytest.raises(ValueError, match=r"levels\[i\]"):
+        fn(levels[pick], FIG3_CFG, FIG3_GEOM, *args)
+    fn(levels[0], FIG3_CFG, FIG3_GEOM, *args)
 
 
 def test_reported_levels_revalidate():
@@ -344,7 +371,7 @@ def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
         centers.append(cfg.va)
     windows.extend(extra_exclusions)
     segments = rootfind.subtract_windows(lo, hi, windows)
-    out = []
+    rows = []
     for i, parity in enumerate("+-"):
 
         def fun(x):
@@ -356,11 +383,9 @@ def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
             if lo < r < hi and not any(abs(r - c) < 3e-10 for c in centers):
                 rho = float(np.sqrt((1.0 - r) / (1.0 + r)))
                 k2 = float(_ref_k2(cfg, r))
-                out.append(
-                    BoundStateSolution(float(r), parity, float(kappa(r)), rho, k2, float(abs(f)))
-                )
-    out.sort(key=lambda s: s.energy)
-    return out
+                rows.append((float(r), parity, float(kappa(r)), rho, k2, float(abs(f)), 0))
+    rows.sort(key=lambda row: row[0])
+    return Levels(*(np.array(c) for c in (list(zip(*rows)) or [()] * len(fields(Levels)))))
 
 
 # fig6 pencil (P2, alphas (1, 1, -1), l = 2) on nine V points: va = 0 is in the
@@ -383,9 +408,10 @@ def test_batched_solver_matches_per_parity_reference():
         got = find_bound_states(cfg, geom, extra_exclusions=excl)
         want = _ref_find_bound_states(cfg, geom, extra_exclusions=excl)
         assert len(got) == len(want), cfg
-        for g, w in zip(got, want):
+        for f in fields(Levels):
             # every field equal as a float, not merely close
-            assert g == w, (cfg, g, w)
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert np.array_equal(g, w), (cfg, f.name, g, w)
 
 
 def test_scan_residuals_hold_one_form():

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from triband import boundstates, cli, spectra
-from triband.boundstates import BoundStateSolution, Levels, find_bound_states
+from triband import cli, spectra
+from triband.boundstates import Levels, find_bound_states
 from triband.cli import PRESETS
 from triband.model import Geometry, OutOfValidityWindow, TypeMismatch
 from triband.pointlimits import SqueezeLaw, limit_energy
@@ -191,13 +192,16 @@ def test_sweep_branch_linking_two_level_family():
 FIELDS = ("energy", "parity", "kappa", "rho", "k2", "residual")
 
 
+def _levels_of(records):
+    """The levels of records, in order, as one Levels record."""
+    fields = dataclasses.fields(Levels)
+    return Levels(*(np.concatenate([getattr(r, f.name) for r in records]) for f in fields))
+
+
 def _record(per_v):
-    """The Levels record of one list of BoundStateSolution per V point."""
-    sols = [s for sols in per_v for s in sols]
-    columns = {f: np.array([getattr(s, f) for s in sols]) for f in FIELDS}
-    columns["parity"] = columns["parity"].astype(str)  # also when there is no level
-    config = np.repeat(np.arange(len(per_v)), [len(sols) for sols in per_v])
-    return Levels(**columns, config=config)
+    """The Levels record of one Levels per V point, config the V index."""
+    config = np.repeat(np.arange(len(per_v)), [len(lv) for lv in per_v])
+    return dataclasses.replace(_levels_of(per_v), config=config)
 
 
 def _greedy_link(v_grid, levels):
@@ -272,7 +276,8 @@ def test_linking_matches_greedy_scan(name):
 
 
 def _state(e, parity="+"):
-    return BoundStateSolution(e, parity, 1.0, 1.0, 1.0, 0.0)
+    """A record of one level; kappa, rho and k2 1, residual 0."""
+    return Levels(*(np.array([x]) for x in (e, parity, 1.0, 1.0, 1.0, 0.0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -289,14 +294,14 @@ def _state(e, parity="+"):
     ],
 )
 def test_linking_tie_goes_to_lowest_index(candidates, expected):
-    later = [c if isinstance(c, BoundStateSolution) else _state(c) for c in candidates]
+    later = _levels_of([c if isinstance(c, Levels) else _state(c) for c in candidates])
     v_grid = np.array([0.0, 1.0, 2.0])
-    levels = _record([[_state(0.0)], later, []])
+    levels = _record([_state(0.0), later, later[:0]])
     branches, events = spectra._link(v_grid, levels)
     first = branches[0]
     assert v_grid[levels.config[first.index]].tolist() == [0.0, 1.0]
     # level 0 is the state at V = 0, so later[k] is level 1 + k
-    assert first.index[1] == 1 + [s.energy for s in later].index(expected)
+    assert first.index[1] == 1 + later.energy.tolist().index(expected)
     assert (_linked(branches), events) == _greedy_link(v_grid, levels)
 
 
@@ -330,21 +335,15 @@ def test_batched_sweep_matches_per_v_solves():
         for i, sols in enumerate(per_v):
             for f in FIELDS:
                 got = getattr(lv, f)[lv.config == i]
-                assert np.array_equal(got, [getattr(s, f) for s in sols]), (pencil, i, f)
+                assert np.array_equal(got, getattr(sols, f)), (pencil, i, f)
         assert _linked(spectrum.branches) == branches
         assert spectrum.events == events
     assert lv.energy.size > 0
 
 
-def test_sweep_builds_no_bound_state_solution(monkeypatch, tmp_path):
+def test_sweep_builds_no_bound_state_solution(tmp_path):
     # a sweep keeps its levels as arrays, from the block solver to the CSV
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sweep built a BoundStateSolution")
-
-    monkeypatch.setattr(boundstates, "BoundStateSolution", refuse)
     pencil, geom, v_grid = _preset_case("fig6", np.linspace(-12.0, 12.0, 2400)[::20][:40])
-    with pytest.raises(AssertionError):
-        find_bound_states(pencil.config(v_grid[0]), geom)  # the patch is in force
     assert sweep(pencil, geom, v_grid).levels.energy.size > 1000
     out = tmp_path / "fig6.csv"
     argv = ["sweep", "--preset", "fig6", "--vmin", "-12", "--vmax", "-6", "--nv", "40"]
