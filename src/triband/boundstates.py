@@ -99,6 +99,15 @@ class Levels:
     def __getitem__(self, key):
         return Levels(*(getattr(self, f.name)[key] for f in fields(Levels)))
 
+    def __eq__(self, other):
+        # every field equal as a whole array (a generated __eq__ would compare
+        # tuples of arrays, which numpy refuses a truth value)
+        if not isinstance(other, Levels):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(Levels)
+        )
+
 
 @dataclass(frozen=True)
 class WaveFunction:
@@ -285,10 +294,10 @@ def _scan_brackets(both, segments, n_grid):
 
 
 # Configurations (V points of a sweep) whose brackets go through one
-# refine_brackets pass.  Refinement costs about 33 residual calls whatever
-# the number of brackets; one fig6 V point gives those calls ~300 abscissas
-# at most, so numpy's per-call overhead dominates, while a block of 16 gives
-# them ~4.5k.  On the 120 V points of the benchmark's fig6 sweep (2-core VM,
+# refine_brackets pass.  Refining a few hundred brackets or more costs about
+# 30 residual calls, one per bisection level (rootfind.POINTS_PER_CALL); one
+# fig6 V point gives those calls ~300 abscissas at most, so numpy's per-call
+# overhead dominates, while a block of 16 gives them ~4.5k.  On the 120 V points of the benchmark's fig6 sweep (2-core VM,
 # numpy 2.4) the refine-stage residual took 0.53 s a V point at a time, and
 # 0.136, 0.109, 0.114 and 0.155 s in blocks of 8, 16, 32 and 120; one call
 # allocates at most 0.5 MiB in a block of 16 and 2.7 MiB in one of 120.  The
@@ -345,10 +354,11 @@ def find_bound_states(
     brackets sign changes of the two family residuals on an adaptively refined
     grid, converges each bracket by bisection plus secant polish to
     |dE| < 1e-12, deduplicates and tags each root with its parity.  Both
-    parities share every residual call, so a solve costs a fixed number of
-    calls (about 35) whatever the number of levels.  extra_exclusions is a
-    list of (lo, hi) intervals left out of the scan (used by cross-validation
-    harnesses to equalize domains).
+    parities share every residual call, so a solve costs a bounded number of
+    calls whatever the number of levels: two scans, then about 6 to 30
+    refinement calls, the fewer the fewer brackets (rootfind.POINTS_PER_CALL).
+    extra_exclusions is a list of (lo, hi) intervals left out of the scan
+    (used by cross-validation harnesses to equalize domains).
 
     The one-configuration case of the block solver behind
     find_bound_states_many, so both return the same floats; config is all 0.

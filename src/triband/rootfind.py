@@ -2,14 +2,16 @@
 
 All solvers in this package reduce to the same pattern: evaluate a smooth
 residual on a grid, bracket sign changes, refine each bracket.  Refinement is
-bisection to a fixed width followed by two secant polish steps that are only
-accepted when they reduce the residual.  Everything works on arrays, so a
+bisection to a fixed width followed by one secant polish step that is only
+accepted when it reduces the residual.  Everything works on arrays, so a
 whole solve costs a fixed number of residual calls:
 
 - `sign_change_brackets` scans many grids (rows) in one call;
-- `refine_brackets` refines many bracket families in one pass.  The residual
-  is evaluated once per step on the abscissas of every bracket, in bracket
-  order, and each bracket reads its own output of the residual (its parity).
+- `refine_brackets` refines many bracket families in one pass.  Each
+  residual call scores abscissas of every bracket, one column per bracket,
+  and each bracket reads its own output of the residual (its parity).  A
+  call on few brackets scores several bisection levels at once
+  (POINTS_PER_CALL), with the floats of one level per call.
   Each bracket keeps the bisection count of its own family,
   ceil(log2(widest bracket of the family / xtol)) + 1, and is frozen once
   that count is spent, so every family gets exactly the floats a separate
@@ -59,19 +61,59 @@ def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
     ]
 
 
+# Abscissas one bisection call may score.  A call on n brackets scores the
+# next m levels of every bracket, m the largest value with
+# n (2^m - 1) <= POINTS_PER_CALL, and at least 1.  A residual call on a few
+# brackets costs about its fixed overhead: on a 2-core VM (numpy 2.4.6) the
+# scan residual took 23 us on 1 to 64 abscissas and 34 us on 256, the
+# oracle's RK4 mismatches 102 and 136 us.  So m grows there (m = 4 to 7 on
+# the oracle's 2 to 15 brackets over the default verify suite), while the
+# sweep's blocks of ~3,000 brackets get m = 1.  Limits of 128 to 1024 refined
+# the solver's brackets equally fast.
+POINTS_PER_CALL = 256
+
+
+def _bisection_points(a, b, depth):
+    """The 2^depth - 1 points that depth bisection levels below (a, b) can
+    visit, in order along the bracket, one column per bracket.
+
+    Built one level at a time in O(depth) array operations: every new point
+    is 0.5 * (lo + hi) of its neighbours one level up, the float that the
+    one-level bisection computes when its bracket is (lo, hi).
+    """
+    points = (0.5 * (a + b))[None]
+    for _ in range(depth - 1):
+        ends = np.concatenate([a[None], points, b[None]])
+        fine = np.empty((2 * len(points) + 1, a.size))
+        fine[::2] = 0.5 * (ends[:-1] + ends[1:])
+        fine[1::2] = points
+        points = fine
+    return points
+
+
 def refine_brackets(func, brackets, xtol: float, families, pick=None):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
     brackets is an (n, 2) array (or a list of (lo, hi) pairs), the
     concatenation of consecutive families of sizes families[0],
-    families[1], ...  func maps an array holding one abscissa per bracket, in
-    bracket order, to a sequence of residual arrays (as _ScanResiduals.both
-    returns the two parities); bracket i reads output pick[i], by default the
-    index of its family.  Returns one (roots, residuals) pair per family,
-    sorted by root, exactly what a call on that family's brackets alone
-    returns.  Brackets whose endpoints do not actually straddle a sign change
-    (can happen after grid refinement around an exact zero) collapse to the
-    endpoint with the smaller |f|.
+    families[1], ...  func maps an array of abscissas whose last axis runs
+    over the brackets, (rows, n) with column i for bracket i, or (n,) when a
+    call scores one level, to a sequence of residual arrays of that shape (as
+    _ScanResiduals.both returns the two parities).  Residuals with strengths
+    per bracket, of shape (n,), broadcast against both.  Bracket i reads
+    output pick[i], by default the index of its family.  Returns one (roots,
+    residuals) pair per family, sorted by root, exactly what a call on that
+    family's brackets alone returns.  Brackets whose endpoints do not actually
+    straddle a sign change (can happen after grid refinement around an exact
+    zero) collapse to the endpoint with the smaller |f|.
+
+    Calls: one scores both ends, and one the bisection root together with a
+    secant step from the final bracket.  Between them each call scores the
+    next m bisection levels of every bracket, m the largest value with
+    n (2^m - 1) <= POINTS_PER_CALL (at least 1): the 2^m - 1 midpoints that
+    m levels can visit, which the walk then descends with the one-level
+    rules.  Every midpoint is the nested 0.5 * (lo + hi) that one level per
+    call computes, so no returned float depends on m.
     """
     sizes = list(families)
     brackets = np.asarray(brackets, dtype=float).reshape(-1, 2)
@@ -92,30 +134,43 @@ def refine_brackets(func, brackets, xtol: float, families, pick=None):
         for w in np.split(b - a, cuts)
     ]
     n_iter = np.repeat(counts, sizes)
-    fa = f(a)
-    fb = f(b)
+    fa, fb = f(np.stack([a, b]))
     bad = fa * fb > 0  # not a true bracket; keep best endpoint
-    for k in range(int(n_iter.max())):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        live = k < n_iter
-        take_left = fa * fm <= 0
-        left, right = live & take_left, live & ~take_left
-        b = np.where(left, mid, b)
-        fb = np.where(left, fm, fb)
-        a = np.where(right, mid, a)
-        fa = np.where(right, fm, fa)
+    levels = max(1, (POINTS_PER_CALL // a.size + 1).bit_length() - 1)
+    total = int(n_iter.max())
+    for first in range(0, total, levels):
+        depth = min(levels, total - first)
+        xs = _bisection_points(a, b, depth)
+        # one level goes to func as the 1-D array of its midpoints: numpy
+        # takes its fast path when operands share one shape, as the
+        # per-bracket strengths of a block of configurations do
+        fs = f(xs) if depth > 1 else f(xs[0])[None]
+        for k in range(first, first + depth):
+            # the middle row of xs holds every bracket's midpoint; xs then
+            # keeps the points on the side taken
+            c = len(xs) // 2
+            mid, fm = xs[c], fs[c]
+            live = k < n_iter
+            take_left = fa * fm <= 0
+            left, right = live & take_left, live & ~take_left
+            b = np.where(left, mid, b)
+            fb = np.where(left, fm, fb)
+            a = np.where(right, mid, a)
+            fa = np.where(right, fm, fa)
+            if c:
+                xs = np.where(take_left, xs[:c], xs[c + 1 :])
+                fs = np.where(take_left, fs[:c], fs[c + 1 :])
     root = 0.5 * (a + b)
-    fr = f(root)
-    for _ in range(2):  # secant polish
-        denom = fb - fa
-        safe = np.abs(denom) > 0
-        x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
-        x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
-        fx = f(x)
-        better = np.abs(fx) < np.abs(fr)
-        root = np.where(better, x, root)
-        fr = np.where(better, fx, fr)
+    # secant polish: x depends on the final bracket alone, so a second step
+    # would score the same x again
+    denom = fb - fa
+    safe = np.abs(denom) > 0
+    x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
+    x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
+    fr, fx = f(np.stack([root, x]))
+    better = np.abs(fx) < np.abs(fr)
+    root = np.where(better, x, root)
+    fr = np.where(better, fx, fr)
     if np.any(bad):
         pick_a = np.abs(fa) < np.abs(fb)
         fallback = np.where(pick_a, a, b)

@@ -38,6 +38,8 @@ from triband.model import (
 from triband.spectra import PencilSpec, sweep
 from triband.verify import comparison_domain, random_configs
 
+from refine_reference import ref_refine
+
 FIG3_CFG = PotentialConfig(3.0, 3.0, 3.0)
 FIG3_GEOM = Geometry.centered(0.5)
 
@@ -180,6 +182,14 @@ def test_level_record_indexing():
     assert [s.energy for s in levels] == levels.energy.tolist()
 
 
+def test_level_records_compare_by_value():
+    levels = find_bound_states(FIG3_CFG, FIG3_GEOM)
+    assert levels == find_bound_states(FIG3_CFG, FIG3_GEOM)
+    assert levels[1] == levels[1:][0] and levels[0] != levels[1]
+    assert levels != find_bound_states(PotentialConfig(3.0, 3.0, 3.5), FIG3_GEOM)
+    assert levels != levels[:1] and levels != "levels"
+
+
 @pytest.mark.parametrize("fn", [eigenfunction, boundary_values, discontinuities])
 @pytest.mark.parametrize("pick", [slice(0, 1), slice(None)], ids=["one_slice", "whole"])
 def test_level_functions_take_one_level(fn, pick):
@@ -243,9 +253,9 @@ def test_particle_hole_mirror_negates_spectrum():
 # --- bit identity with the per-parity scaffold --------------------------------
 # The solver used to bracket and refine each parity on its own: one residual
 # call per segment grid, per sign-change cell and per edge ladder, then one
-# refine_brackets call per parity, with both residual kernels evaluated
-# everywhere under np.where.  That code is kept here as the reference the
-# batched solver must reproduce float for float.
+# one-level refinement per parity (refine_reference.ref_refine), with both
+# residual kernels evaluated everywhere under np.where.  That code is kept
+# here as the reference the batched solver must reproduce float for float.
 
 
 def _ref_k2(cfg, e):
@@ -332,36 +342,6 @@ def _ref_brackets(fun, segments, n_grid, refine=4):
     return sorted(set(brackets))
 
 
-def _ref_refine(func, brackets, xtol, polish=2):
-    if not brackets:
-        return np.empty(0), np.empty(0)
-    a = np.array([b[0] for b in brackets], dtype=float)
-    b = np.array([b[1] for b in brackets], dtype=float)
-    fa, fb = func(a), func(b)
-    bad = fa * fb > 0
-    for _ in range(int(np.ceil(np.log2(max(np.max(b - a), xtol) / xtol))) + 1):
-        mid = 0.5 * (a + b)
-        fm = func(mid)
-        left = fa * fm <= 0
-        a, b = np.where(left, a, mid), np.where(left, mid, b)
-        fa, fb = np.where(left, fa, fm), np.where(left, fm, fb)
-    root = 0.5 * (a + b)
-    fr = func(root)
-    for _ in range(polish):
-        denom = fb - fa
-        safe = np.abs(denom) > 0
-        x = np.where(safe, b - fb * (b - a) / np.where(safe, denom, 1.0), root)
-        x = np.clip(x, np.minimum(a, b), np.maximum(a, b))
-        fx = func(x)
-        better = np.abs(fx) < np.abs(fr)
-        root, fr = np.where(better, x, root), np.where(better, fx, fr)
-    pick_a = np.abs(fa) < np.abs(fb)
-    root = np.where(bad, np.where(pick_a, a, b), root)
-    fr = np.where(bad, np.where(pick_a, fa, fb), fr)
-    order = np.argsort(root)
-    return root[order], fr[order]
-
-
 def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
     lo, hi = -1.0 + EDGE_MARGIN, 1.0 - EDGE_MARGIN
     windows = [(-ZERO_WINDOW, ZERO_WINDOW)]
@@ -377,7 +357,7 @@ def _ref_find_bound_states(cfg, geom, extra_exclusions=()):
         def fun(x):
             return _ref_both(cfg, geom, np.asarray(x, dtype=float))[i]
 
-        roots, fr = _ref_refine(fun, _ref_brackets(fun, segments, 4000), ROOT_XTOL)
+        roots, fr = ref_refine(fun, _ref_brackets(fun, segments, 4000), ROOT_XTOL)
         roots, fr = rootfind.dedup_sorted(roots, fr, tol=5.0 * ROOT_XTOL)
         for r, f in zip(roots, fr):
             if lo < r < hi and not any(abs(r - c) < 3e-10 for c in centers):

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 
-from triband import rootfind
+from triband import oracle, rootfind
+from triband.boundstates import N_GRID, scan_segments
+from triband.verify import comparison_domain, random_configs
+
+from refine_reference import ref_refine
 
 
 def _two_parities(x):
@@ -84,3 +90,88 @@ def test_refine_by_pick_equals_one_call_per_family():
     for (k, fam), (roots, res) in zip(families, got):
         (alone,) = rootfind.refine_brackets(_one_parity(k), fam, xtol, [len(fam)])
         assert np.array_equal(roots, alone[0]) and np.array_equal(res, alone[1])
+
+
+def _sin_brackets(n):
+    # n brackets around consecutive roots k pi/7 of sin(7 x), of widths that
+    # differ from bracket to bracket, below half the root spacing
+    k = np.arange(n) - n // 2
+    w = 1e-3 * (1.0 + (k % 5))
+    return list(zip(k * np.pi / 7.0 - w, k * np.pi / 7.0 + 0.5 * w))
+
+
+def _levels_per_call(n):
+    # the largest m with n (2^m - 1) <= POINTS_PER_CALL, at least 1
+    m = 1
+    while n * (2 ** (m + 1) - 1) <= rootfind.POINTS_PER_CALL:
+        m += 1
+    return m
+
+
+def _assert_same(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_multi_level_refine_matches_one_level_reference():
+    xtol = 1e-12
+    # family 0 has narrow brackets, one of them with an exact zero (sin 0) at
+    # its end; family 1 has wide ones, so the two bisection counts differ,
+    # and its last bracket does not straddle a sign change
+    plus = [(0.0, 0.3)] + [(k * np.pi / 7.0 - 1e-3, k * np.pi / 7.0 + 2e-3) for k in (-3, 2, 5)]
+    z = np.arccos(0.3) / 5.0
+    minus = [(z - 0.2, z + 0.25), (-z - 0.3, -z + 0.1), (1.2, 1.3)]
+    for func in (_two_parities, _signs):
+        got = rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
+        for k, fam in enumerate((plus, minus)):
+            _assert_same(got[k], ref_refine(lambda x: func(x)[k], fam, xtol))
+    # 1 and 3 brackets score several levels per call, 40 two, and more than
+    # POINTS_PER_CALL one
+    counts = (1, 3, 40, rootfind.POINTS_PER_CALL + 44)
+    assert [_levels_per_call(n) > 1 for n in counts] == [True, True, True, False]
+    for n in counts:
+        fam = _sin_brackets(n)
+        for func in (_two_parities, _signs):
+            (got,) = rootfind.refine_brackets(_one_parity(0, func), fam, xtol, [n])
+            _assert_same(got, ref_refine(lambda x: func(x)[0], fam, xtol))
+
+
+def test_oracle_refine_matches_one_level_reference():
+    # the oracle's RK4 parity mismatches on two configurations, with 15 and
+    # 6 brackets: both get several levels per call
+    suite = random_configs(42, 4)
+    for cfg, geom in (suite[1], suite[3]):
+
+        def both(x):
+            return oracle._parity_mismatches(cfg, geom, x, oracle.N_STEPS)
+
+        grids = rootfind.segment_grids(scan_segments(cfg, comparison_domain(cfg, geom)), N_GRID)
+        xs = np.concatenate(grids)
+        fams = [rootfind.sign_change_brackets(xs, f, [g.size for g in grids]) for f in both(xs)]
+        assert all(fams)
+        got = rootfind.refine_brackets(
+            both, fams[0] + fams[1], oracle.ORACLE_XTOL, [len(f) for f in fams]
+        )
+        for k, fam in enumerate(fams):
+            _assert_same(got[k], ref_refine(lambda x: both(x)[k], fam, oracle.ORACLE_XTOL))
+
+
+def test_refine_call_count_follows_the_level_rule():
+    # one call scores both ends, one per m bisection levels, and one the root
+    # together with its secant polish step
+    xtol = 1e-12
+    for n in (1, 3, 40, rootfind.POINTS_PER_CALL + 44):
+        fam = _sin_brackets(n)
+        calls = []
+
+        def func(x):
+            calls.append(x)
+            return _two_parities(x)
+
+        rootfind.refine_brackets(func, fam, xtol, [n])
+        levels = math.ceil(math.log2(max(hi - lo for lo, hi in fam) / xtol)) + 1
+        m = _levels_per_call(n)
+        assert len(calls) == 1 + math.ceil(levels / m) + 1, n
+        # column i of every call holds abscissas of bracket i
+        assert [x.shape for x in (calls[0], calls[-1])] == [(2, n), (2, n)]
+        for x in calls[1:-1]:
+            assert x.shape[-1] == n and x.size <= max(n, rootfind.POINTS_PER_CALL)
