@@ -128,7 +128,18 @@ def limit_matrix(
     e_n: float | None = None,
     parity: str | None = None,
 ) -> PointInteraction:
-    """Limit connection matrix Lambda_n for a supported combination."""
+    """Limit connection matrix Lambda_n for a supported combination.
+
+    Lambda_n is the l -> 0 limit of the finite-width connection matrix taken
+    at the finite-width level E(l) of the squeeze path, that is of
+    boundstates.connection_matrix(cfg(l), Geometry.centered(l), E(l)) with
+    E(l) from convergence_study; it is not the limit at the fixed E_n.  Along
+    l = 0.1, ..., 0.00625 every entry error against E(l)'s matrix at least
+    halves when l does.  At the fixed E_n the delta-rate entries converge
+    too, but the ladder entries (n >= 1) do not: there the finite-width
+    matrix tends to +-I, its off-diagonal entries vary fast in E near E(l),
+    and their error stays between 0.56 (H2 n = 1) and 6.5 (W2 n = 1).
+    """
     stype = classify(pencil)
     tag = stype.tag
     if e_n is None:

@@ -11,10 +11,11 @@ whole solve costs a fixed number of residual calls:
   residual call scores abscissas of every bracket, one column per bracket,
   and each bracket reads its own output of the residual (its parity).  A
   call on few brackets scores several bisection levels at once
-  (POINTS_PER_CALL), with the floats of one level per call.
-  Each bracket keeps the bisection count of its own family,
-  ceil(log2(widest bracket of the family / xtol)) + 1, and is frozen once
-  that count is spent, so every family gets exactly the floats a separate
+  (POINTS_PER_CALL): a table of each bracket's ends and nested midpoints,
+  which the walk halves once per level, with the floats of one level per
+  call.  Each bracket keeps the bisection count of its own family,
+  ceil(log2(widest bracket of the family / xtol)) + 1, and a call ends where
+  a family's count ends, so every family gets exactly the floats a separate
   call on its brackets would return.  The bound-state solver makes one family
   per (configuration, parity): a block of 16 V points of a sweep, both
   parities each, goes through one pass (see boundstates.BLOCK_SIZE).
@@ -73,24 +74,6 @@ def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
 POINTS_PER_CALL = 256
 
 
-def _bisection_points(a, b, depth):
-    """The 2^depth - 1 points that depth bisection levels below (a, b) can
-    visit, in order along the bracket, one column per bracket.
-
-    Built one level at a time in O(depth) array operations: every new point
-    is 0.5 * (lo + hi) of its neighbours one level up, the float that the
-    one-level bisection computes when its bracket is (lo, hi).
-    """
-    points = (0.5 * (a + b))[None]
-    for _ in range(depth - 1):
-        ends = np.concatenate([a[None], points, b[None]])
-        fine = np.empty((2 * len(points) + 1, a.size))
-        fine[::2] = 0.5 * (ends[:-1] + ends[1:])
-        fine[1::2] = points
-        points = fine
-    return points
-
-
 def refine_brackets(func, brackets, xtol: float, families, pick=None):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
@@ -110,56 +93,69 @@ def refine_brackets(func, brackets, xtol: float, families, pick=None):
     Calls: one scores both ends, and one the bisection root together with a
     secant step from the final bracket.  Between them each call scores the
     next m bisection levels of every bracket, m the largest value with
-    n (2^m - 1) <= POINTS_PER_CALL (at least 1): the 2^m - 1 midpoints that
-    m levels can visit, which the walk then descends with the one-level
-    rules.  Every midpoint is the nested 0.5 * (lo + hi) that one level per
-    call computes, so no returned float depends on m.
+    n (2^m - 1) <= POINTS_PER_CALL (at least 1).  Its table holds rows a,
+    the 2^m - 1 nested midpoints 0.5 * (lo + hi) that m levels can visit,
+    and b; the walk halves it m times, keeping the half whose first and last
+    rows still bracket a sign change, so those two rows are always the
+    current bracket.  Each family bisects ceil(log2(widest bracket / xtol))
+    + 1 times, and a call ends where the smallest count not yet spent ends,
+    so no bracket walks past its own count; brackets whose count is spent
+    keep their ends.  Every float is then the one that one level per call
+    and one call per family compute, whatever m and the other families.
     """
     sizes = list(families)
     brackets = np.asarray(brackets, dtype=float).reshape(-1, 2)
-    if brackets.size == 0:
+    n = len(brackets)
+    if n == 0:
         return [(np.empty(0), np.empty(0)) for _ in sizes]
-    a = brackets[:, 0].copy()
-    b = brackets[:, 1].copy()
     if pick is None:
         pick = np.repeat(np.arange(len(sizes)), sizes)
 
     def f(x):
         return np.choose(pick, func(x))
 
+    # rows a and b of every bracket (column), and their residuals
+    ends = brackets.T.copy()
+    f_ends = f(ends)
+    bad = f_ends[0] * f_ends[1] > 0  # not a true bracket; keep best endpoint
     # every bracket gets the bisection count of the widest one in its family
     cuts = np.cumsum(sizes)[:-1]
     counts = [
         int(np.ceil(np.log2(max(np.max(w), xtol) / xtol))) + 1 if w.size else 0
-        for w in np.split(b - a, cuts)
+        for w in np.split(ends[1] - ends[0], cuts)
     ]
     n_iter = np.repeat(counts, sizes)
-    fa, fb = f(np.stack([a, b]))
-    bad = fa * fb > 0  # not a true bracket; keep best endpoint
-    levels = max(1, (POINTS_PER_CALL // a.size + 1).bit_length() - 1)
-    total = int(n_iter.max())
-    for first in range(0, total, levels):
-        depth = min(levels, total - first)
-        xs = _bisection_points(a, b, depth)
+    levels = max(1, (POINTS_PER_CALL // n + 1).bit_length() - 1)
+    done = 0
+    while done < max(counts):
+        # a call stops where a count ends, so no bracket whose count is not
+        # spent walks past it; spent ones keep their ends (live, below)
+        depth = min(levels, min(c for c in counts if c > done) - done)
+        # rows a, the 2^depth - 1 nested midpoints in order, and b
+        xs = ends
+        for _ in range(depth):
+            fine = np.empty((2 * len(xs) - 1, n))
+            fine[::2] = xs
+            fine[1::2] = 0.5 * (xs[:-1] + xs[1:])
+            xs = fine
+        fs = np.empty_like(xs)
+        fs[0], fs[-1] = f_ends
         # one level goes to func as the 1-D array of its midpoints: numpy
         # takes its fast path when operands share one shape, as the
         # per-bracket strengths of a block of configurations do
-        fs = f(xs) if depth > 1 else f(xs[0])[None]
-        for k in range(first, first + depth):
-            # the middle row of xs holds every bracket's midpoint; xs then
-            # keeps the points on the side taken
+        fs[1:-1] = f(xs[1:-1] if depth > 1 else xs[1])
+        # the middle row holds every bracket's midpoint; keep the half whose
+        # ends still bracket the sign change
+        for _ in range(depth):
             c = len(xs) // 2
-            mid, fm = xs[c], fs[c]
-            live = k < n_iter
-            take_left = fa * fm <= 0
-            left, right = live & take_left, live & ~take_left
-            b = np.where(left, mid, b)
-            fb = np.where(left, fm, fb)
-            a = np.where(right, mid, a)
-            fa = np.where(right, fm, fa)
-            if c:
-                xs = np.where(take_left, xs[:c], xs[c + 1 :])
-                fs = np.where(take_left, fs[:c], fs[c + 1 :])
+            left = fs[0] * fs[c] <= 0
+            xs = np.where(left, xs[: c + 1], xs[c:])
+            fs = np.where(left, fs[: c + 1], fs[c:])
+        live = n_iter > done
+        ends = np.where(live, xs, ends)
+        f_ends = np.where(live, fs, f_ends)
+        done += depth
+    (a, b), (fa, fb) = ends, f_ends
     root = 0.5 * (a + b)
     # secant polish: x depends on the final bracket alone, so a second step
     # would score the same x again

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from triband import oracle, rootfind
 from triband.boundstates import N_GRID, scan_segments
@@ -49,13 +50,19 @@ def test_sign_change_rows_match_one_call_per_row():
     ) == []
 
 
-def test_joint_refine_equals_one_call_per_family():
-    xtol = 1e-12
+def _plus_minus():
     # family 0 has narrow brackets, family 1 wide ones, so their bisection
-    # counts differ; the last family-1 bracket does not straddle a sign change
+    # counts differ (33 and 40 at xtol 1e-12); the last family-1 bracket does
+    # not straddle a sign change
     plus = [(k * np.pi / 7.0 - 1e-3, k * np.pi / 7.0 + 2e-3) for k in range(-3, 4)]
     z = np.arccos(0.3) / 5.0
     minus = [(z - 0.2, z + 0.25), (-z - 0.3, -z + 0.1), (1.2, 1.3)]
+    return plus, minus
+
+
+def test_joint_refine_equals_one_call_per_family():
+    xtol = 1e-12
+    plus, minus = _plus_minus()
     for func in (_two_parities, _signs):
         got = rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
         for k, fam in enumerate((plus, minus)):
@@ -175,3 +182,69 @@ def test_refine_call_count_follows_the_level_rule():
         assert [x.shape for x in (calls[0], calls[-1])] == [(2, n), (2, n)]
         for x in calls[1:-1]:
             assert x.shape[-1] == n and x.size <= max(n, rootfind.POINTS_PER_CALL)
+    # a call ends where a family's count ends: the counts 33 and 40 at m = 4
+    # take 9 calls to level 33 (the last one scores a single level), then 2
+    plus, minus = _plus_minus()
+    n = len(plus) + len(minus)
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return _two_parities(x)
+
+    rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
+    m = _levels_per_call(n)
+    assert m == 4
+    assert len(calls) == 1 + math.ceil(33 / m) + math.ceil((40 - 33) / m) + 1 == 13
+    assert [x.size for x in calls[8:11]] == [(2**m - 1) * n, n, (2**m - 1) * n]
+
+
+def _exact_zero_residuals(x):
+    # sin(7 x) is exactly 0 at x = 0; the second output has exact zeros at
+    # 0.5 and -0.75, where the product is computed exactly
+    return np.sin(7.0 * x), (x - 0.5) * (x + 0.75)
+
+
+@st.composite
+def _bracket(draw, k):
+    w = draw(st.floats(1e-9, 0.3))
+    kind = draw(st.sampled_from(["root", "zero end", "anywhere"]))
+    if kind == "root":
+        roots = [j * np.pi / 7.0 for j in range(-4, 5)] if k == 0 else [-0.75, 0.5]
+        lo = draw(st.sampled_from(roots)) - w * draw(st.floats(0.0, 1.0))
+    elif kind == "zero end":
+        z = draw(st.sampled_from([0.0] if k == 0 else [-0.75, 0.5]))
+        return draw(st.sampled_from([(z, z + w), (z - w, z)]))
+    else:
+        # mostly brackets with no sign change
+        lo = draw(st.floats(-2.0, 2.0))
+    return (lo, lo + w)
+
+
+@st.composite
+def _families(draw):
+    fams = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(0, 1))
+        fams.append((k, draw(st.lists(_bracket(k), max_size=40))))
+    return fams
+
+
+@settings(max_examples=100, deadline=None)
+@given(fams=_families(), signs=st.booleans())
+def test_refine_matches_reference_family_by_family(fams, signs):
+    # families with their own counts, sizes and outputs, refined in one pass,
+    # get the floats of the one-level reference run on each family alone
+    xtol = 1e-12
+
+    def func(x):
+        out = _exact_zero_residuals(x)
+        return tuple(np.sign(f) for f in out) if signs else out
+
+    sizes = [len(fam) for _, fam in fams]
+    brackets = np.array([b for _, fam in fams for b in fam]).reshape(-1, 2)
+    pick = np.repeat([k for k, _ in fams], sizes)
+    got = rootfind.refine_brackets(func, brackets, xtol, sizes, pick=pick)
+    assert len(got) == len(fams)
+    for (k, fam), res in zip(fams, got):
+        _assert_same(res, ref_refine(lambda x: func(x)[k], fam, xtol))
