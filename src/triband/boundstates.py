@@ -259,27 +259,27 @@ def _scan_brackets(both, segments, n_grid):
     sign-change cell split into 4 equal parts (5 points), which separates
     close root pairs, and log-spaced ladders at both ends of every segment,
     which recover roots crowding the window and gap edges (three decades
-    below the cell size).  Returns the sorted, duplicate-free brackets of each parity
-    as (n, 2) arrays.
+    below the cell size).  Returns one (brackets, f_ends) record per parity,
+    as rootfind.sign_change_brackets returns it from the second call: the
+    end residuals are the ones refine_brackets takes.
     """
     if not segments:
-        return [np.empty((0, 2)), np.empty((0, 2))]
-    grids = rootfind.segment_grids(segments, n_grid)
-    ladders = []
-    for (slo, shi), xs in zip(segments, grids):
-        h = (shi - slo) / (xs.size - 1)
-        for edge, inward in ((slo, +1.0), (shi, -1.0)):
-            lad = rootfind.edge_ladder(edge, inward, h)
-            lad = lad[(lad > slo) & (lad < shi)]
-            ladders.append(np.sort(np.append(lad, edge + inward * h)))
-    x = np.concatenate(grids)
-    lengths = [xs.size for xs in grids]
-    cells = [
-        np.array(rootfind.sign_change_brackets(x, f, lengths)).reshape(-1, 2) for f in both(x)
-    ]
+        return [(np.empty((0, 2)), np.empty((2, 0)))] * 2
+    x, lengths = rootfind.segment_grids(segments, n_grid)
+    # one ladder row per segment edge, lower edge first: the rungs inside the
+    # segment and the grid point next to the edge, ascending; a rung outside
+    # is NaN, which sorts last and is then dropped
+    seg = np.array(segments)
+    slo, shi = np.repeat(seg, 2, axis=0).T[..., None]
+    edge, inward = seg.ravel(), np.tile([1.0, -1.0], len(seg))
+    h = np.repeat((seg[:, 1] - seg[:, 0]) / (lengths - 1), 2)
+    lad = rootfind.edge_ladder(edge, inward, h)
+    lad = np.where((lad > slo) & (lad < shi), lad, np.nan)
+    lad = np.sort(np.column_stack([lad, edge + inward * h]), axis=1)
+    rungs = ~np.isnan(lad)
+    ladder_x, ladder_lengths = lad[rungs], rungs.sum(axis=1)
+    cells = [rootfind.sign_change_brackets(x, f, lengths)[0] for f in both(x)]
     subs = [np.linspace(c[:, 0], c[:, 1], 5, axis=-1).ravel() for c in cells]
-    ladder_x = np.concatenate(ladders)
-    ladder_lengths = [lad.size for lad in ladders]
     # layout: the "+" cells, the "-" cells, then the ladders both parities scan
     n_subs = subs[0].size + subs[1].size
     start = 0
@@ -287,9 +287,8 @@ def _scan_brackets(both, segments, n_grid):
     for sub, f in zip(subs, both(np.concatenate(subs + [ladder_x]))):
         fs = np.concatenate([f[start : start + sub.size], f[n_subs:]])
         start += sub.size
-        rows = [5] * (sub.size // 5) + ladder_lengths
-        found = rootfind.sign_change_brackets(np.concatenate([sub, ladder_x]), fs, rows)
-        out.append(np.array(sorted(set(found)), dtype=float).reshape(-1, 2))
+        rows = np.concatenate([np.full(sub.size // 5, 5), ladder_lengths])
+        out.append(rootfind.sign_change_brackets(np.concatenate([sub, ladder_x]), fs, rows))
     return out
 
 
@@ -314,20 +313,22 @@ def _solve_block(cfgs, geom: Geometry, n_grid: int, extra_exclusions=(), first: 
     solve on its own.
     """
     res = _ScanResiduals.of(cfgs, geom)
-    families = [
-        fam
+    scans = [
+        scan
         for i, cfg in enumerate(cfgs)
-        for fam in _scan_brackets(res.at(i).both, scan_segments(cfg, extra_exclusions), n_grid)
+        for scan in _scan_brackets(res.at(i).both, scan_segments(cfg, extra_exclusions), n_grid)
     ]
-    sizes = [len(fam) for fam in families]
+    brackets, f_ends = zip(*scans)
+    sizes = [len(b) for b in brackets]
     # family 2 i holds the "+" brackets of configuration i, family 2 i + 1 the "-"
     family = np.arange(2 * len(cfgs))
     refined = rootfind.refine_brackets(
         res.at(np.repeat(family // 2, sizes)).both,
-        np.concatenate(families),
+        np.concatenate(brackets),
         xtol=ROOT_XTOL,
         families=sizes,
         pick=np.repeat(family % 2, sizes),
+        f_ends=np.concatenate(f_ends, axis=1),
     )
     kept = [rootfind.dedup_sorted(r, fr, tol=5.0 * ROOT_XTOL) for r, fr in refined]
     family = np.repeat(family, [r.size for r, _ in kept])
@@ -355,7 +356,7 @@ def find_bound_states(
     grid, converges each bracket by bisection plus secant polish to
     |dE| < 1e-12, deduplicates and tags each root with its parity.  Both
     parities share every residual call, so a solve costs a bounded number of
-    calls whatever the number of levels: two scans, then about 6 to 30
+    calls whatever the number of levels: two scans, then about 5 to 29
     refinement calls, the fewer the fewer brackets (rootfind.POINTS_PER_CALL).
     extra_exclusions is a list of (lo, hi) intervals left out of the scan
     (used by cross-validation harnesses to equalize domains).

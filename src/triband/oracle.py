@@ -104,23 +104,28 @@ def oracle_bound_states(
 ) -> list[float]:
     """Grid-scan the midpoint parity mismatches u(a) and v(a) over the gap
     and bisect every sign change of each, on the solver's N_GRID points.
+    The brackets and their end mismatches go from the scan to
+    rootfind.refine_brackets as one record, so no end is integrated twice.
 
     Each parity is scanned on its own, so an exponentially split even/odd
     doublet is one simple zero in each family.  Exclusion windows around
     E = 0 and the constraint pole at E = va mirror the main solver's so both
     enumerate the same domain.
     """
-    grids = rootfind.segment_grids(scan_segments(cfg, extra_exclusions), N_GRID)
-    if not grids:
+    segments = scan_segments(cfg, extra_exclusions)
+    if not segments:
         return []
 
     def both(x):  # the u(a) and v(a) mismatches
         return _parity_mismatches(cfg, geom, np.asarray(x, dtype=float), n_steps)
 
-    xs = np.concatenate(grids)
-    lengths = [g.size for g in grids]
-    brackets = [rootfind.sign_change_brackets(xs, fs, lengths) for fs in both(xs)]
+    xs, lengths = rootfind.segment_grids(segments, N_GRID)
+    brackets, f_ends = zip(*(rootfind.sign_change_brackets(xs, fs, lengths) for fs in both(xs)))
     refined = rootfind.refine_brackets(
-        both, brackets[0] + brackets[1], xtol=ORACLE_XTOL, families=[len(b) for b in brackets]
+        both,
+        np.concatenate(brackets),
+        xtol=ORACLE_XTOL,
+        families=[len(b) for b in brackets],
+        f_ends=np.concatenate(f_ends, axis=1),
     )
     return sorted(float(r) for roots, _ in refined for r in roots)

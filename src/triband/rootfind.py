@@ -6,11 +6,14 @@ bisection to a fixed width followed by one secant polish step that is only
 accepted when it reduces the residual.  Everything works on arrays, so a
 whole solve costs a fixed number of residual calls:
 
-- `sign_change_brackets` scans many grids (rows) in one call;
-- `refine_brackets` refines many bracket families in one pass.  Each
-  residual call scores abscissas of every bracket, one column per bracket,
-  and each bracket reads its own output of the residual (its parity).  A
-  call on few brackets scores several bisection levels at once
+- `sign_change_brackets` scans many grids (rows) in one call, and returns
+  the brackets as one record: an (n, 2) array of [lo, hi] and the (2, n)
+  residuals at both ends, which the scan has already computed;
+- `refine_brackets` refines many bracket families in one pass, from the
+  record, so it scores no bracket end again.  Each residual call scores
+  abscissas of every bracket, one column per bracket, and each bracket
+  reads its own output of the residual (its parity).  A call on few
+  brackets scores several bisection levels at once
   (POINTS_PER_CALL): a table of each bracket's ends and nested midpoints,
   which the walk halves once per level, with the floats of one level per
   call.  Each bracket keeps the bisection count of its own family,
@@ -26,40 +29,39 @@ from __future__ import annotations
 import numpy as np
 
 
-def sign_change_brackets(x, f, lengths) -> list[tuple[float, float]]:
-    """Brackets [x_i, x_{i+1}] where f changes sign (exact zeros included).
+def sign_change_brackets(x, f, lengths):
+    """(brackets, f_ends) of the cells [x_i, x_{i+1}] where f changes sign.
 
-    x and f hold consecutive rows (grids) of the given lengths, each scanned
-    on its own: no bracket spans two rows.  An exact zero at x_i gives the
-    bracket spanned by its neighbours within the row.
+    x and f hold consecutive rows (ascending grids) of the given lengths,
+    each scanned on its own: no bracket spans two rows.  An exact zero at x_i
+    gives the bracket spanned by its neighbours within the row.  brackets is
+    an (n, 2) array of [lo, hi], the sign changes in scan order, then the
+    exact zeros; f_ends is the (2, n) array of f at lo and at hi, as
+    refine_brackets takes it.
     """
-    x = np.asarray(x, dtype=float)
+    x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
     s = np.sign(f)
-    # first and last index of the row of every point
-    last = np.repeat(np.cumsum(lengths) - 1, lengths)
-    first = last - np.repeat(lengths, lengths) + 1
-    idx = np.flatnonzero(s[:-1] * s[1:] < 0)
-    idx = idx[idx < last[idx]]
-    lo = np.minimum(x[idx], x[idx + 1])
-    hi = np.maximum(x[idx], x[idx + 1])
+    # the last point of every row; end[i - 1] is True where i starts a row,
+    # i = 0 included, as end[-1] holds the last point
+    end = np.zeros(x.size, dtype=bool)
+    end[np.cumsum(lengths, dtype=int) - 1] = True
+    idx = np.flatnonzero((s[:-1] * s[1:] < 0) & ~end[:-1])
     hits = np.flatnonzero(s == 0)
-    left = x[np.maximum(hits - 1, first[hits])]
-    right = x[np.minimum(hits + 1, last[hits])]
-    hit_lo, hit_hi = np.minimum(left, right), np.maximum(left, right)
-    wide = hit_hi > hit_lo
-    out = list(zip(lo.tolist(), hi.tolist()))
-    out.extend(zip(hit_lo[wide].tolist(), hit_hi[wide].tolist()))
-    return sorted(out)
+    left = np.where(end[hits - 1], hits, hits - 1)
+    right = np.where(end[hits], hits, hits + 1)
+    wide = x[left] < x[right]
+    lo, hi = np.concatenate([idx, left[wide]]), np.concatenate([idx + 1, right[wide]])
+    return np.stack([x[lo], x[hi]], axis=1), np.stack([f[lo], f[hi]])
 
 
-def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
-    """One uniform grid per (lo, hi) segment; the n_grid points are shared in
-    proportion to segment length, with at least 16 per segment."""
+def segment_grids(segments, n_grid: int):
+    """(x, lengths): uniform grids of the (lo, hi) segments, concatenated,
+    and the array of their sizes; the n_grid points are shared in proportion
+    to segment length, with at least 16 per segment."""
     total = sum(shi - slo for slo, shi in segments)
-    return [
-        np.linspace(slo, shi, max(16, int(round(n_grid * (shi - slo) / total))))
-        for slo, shi in segments
-    ]
+    lengths = [max(16, int(round(n_grid * (shi - slo) / total))) for slo, shi in segments]
+    x = np.concatenate([np.linspace(*seg, n) for seg, n in zip(segments, lengths)])
+    return x, np.array(lengths)
 
 
 # Abscissas one bisection call may score.  A call on n brackets scores the
@@ -74,26 +76,28 @@ def segment_grids(segments, n_grid: int) -> list[np.ndarray]:
 POINTS_PER_CALL = 256
 
 
-def refine_brackets(func, brackets, xtol: float, families, pick=None):
+def refine_brackets(func, brackets, xtol: float, families, pick=None, *, f_ends):
     """Converge every bracket to width <= xtol; vectorized bisection + secant.
 
-    brackets is an (n, 2) array (or a list of (lo, hi) pairs), the
-    concatenation of consecutive families of sizes families[0],
-    families[1], ...  func maps an array of abscissas whose last axis runs
-    over the brackets, (rows, n) with column i for bracket i, or (n,) when a
-    call scores one level, to a sequence of residual arrays of that shape (as
-    _ScanResiduals.both returns the two parities).  Residuals with strengths
-    per bracket, of shape (n,), broadcast against both.  Bracket i reads
-    output pick[i], by default the index of its family.  Returns one (roots,
-    residuals) pair per family, sorted by root, exactly what a call on that
-    family's brackets alone returns.  Brackets whose endpoints do not actually
-    straddle a sign change (can happen after grid refinement around an exact
-    zero) collapse to the endpoint with the smaller |f|.
+    brackets is an (n, 2) array of [lo, hi], the concatenation of
+    consecutive families of sizes families[0], families[1], ..., and f_ends
+    the (2, n) array of residuals at lo and at hi, as sign_change_brackets
+    returns them.  func maps an array of abscissas whose last axis runs over
+    the brackets, (rows, n) with column i for bracket i, or (n,) when a call
+    scores one level, to a sequence of one or two residual arrays of that
+    shape (as _ScanResiduals.both returns the two parities).  Residuals with
+    strengths per bracket, of shape (n,), broadcast against both.  Bracket i
+    reads output pick[i], 0 or 1, by default the index of its family.
+    Returns one (roots, residuals) pair per family, sorted by root, exactly
+    what a call on that family's brackets alone returns.  Brackets whose
+    endpoints do not actually straddle a sign change (can happen after grid
+    refinement around an exact zero) collapse to the endpoint with the
+    smaller |f|.
 
-    Calls: one scores both ends, and one the bisection root together with a
-    secant step from the final bracket.  Between them each call scores the
-    next m bisection levels of every bracket, m the largest value with
-    n (2^m - 1) <= POINTS_PER_CALL (at least 1).  Its table holds rows a,
+    Calls: the ends come scored, and the last call scores the bisection root
+    together with a secant step from the final bracket.  Before it each call
+    scores the next m bisection levels of every bracket, m the largest value
+    with n (2^m - 1) <= POINTS_PER_CALL (at least 1).  Its table holds rows a,
     the 2^m - 1 nested midpoints 0.5 * (lo + hi) that m levels can visit,
     and b; the walk halves it m times, keeping the half whose first and last
     rows still bracket a sign change, so those two rows are always the
@@ -110,13 +114,14 @@ def refine_brackets(func, brackets, xtol: float, families, pick=None):
         return [(np.empty(0), np.empty(0)) for _ in sizes]
     if pick is None:
         pick = np.repeat(np.arange(len(sizes)), sizes)
+    second = np.asarray(pick) == 1
 
     def f(x):
-        return np.choose(pick, func(x))
+        outs = func(x)
+        return np.where(second, outs[1], outs[0]) if len(outs) > 1 else outs[0]
 
     # rows a and b of every bracket (column), and their residuals
     ends = brackets.T.copy()
-    f_ends = f(ends)
     bad = f_ends[0] * f_ends[1] > 0  # not a true bracket; keep best endpoint
     # every bracket gets the bisection count of the widest one in its family
     cuts = np.cumsum(sizes)[:-1]
@@ -214,12 +219,13 @@ def subtract_windows(lo: float, hi: float, windows) -> list[tuple[float, float]]
     return [s for s in segs if s[1] > s[0]]
 
 
-def edge_ladder(edge: float, inward: float, span: float):
+def edge_ladder(edge, inward, span):
     """Log-spaced abscissas approaching `edge` from the `inward` direction.
 
     72 points, 24 per decade, cover distances from `span` down to span/10^3;
     used to recover roots that sit close to an excluded window or to the
-    domain boundary.
+    domain boundary.  edge, inward and span may be arrays of one shape s:
+    the result then has shape s + (72,), one ladder per last-axis row.
     """
-    d = np.logspace(np.log10(span), np.log10(span / 1e3), 72)
-    return edge + inward * d
+    d = np.logspace(np.log10(span), np.log10(span / 1e3), 72, axis=-1)
+    return np.asarray(edge)[..., None] + np.asarray(inward)[..., None] * d

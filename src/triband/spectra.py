@@ -333,15 +333,18 @@ def cutoff_values(
         # the level hits E = -1 when V <= -1: (V + 1)^2 (1 - V) = q,
         # and E = +1 when V >= 1: (V - 1)^2 (V + 1) = q
         cubics = (
-            (lambda v: (v + 1.0) ** 2 * (1.0 - v) - q, -1.0 - 10 * (q + 1.0), -1.0),
-            (lambda v: (v - 1.0) ** 2 * (v + 1.0) - q, 1.0, 1.0 + 10 * (q + 1.0)),
+            lambda v: (v + 1.0) ** 2 * (1.0 - v) - q,
+            lambda v: (v - 1.0) ** 2 * (v + 1.0) - q,
         )
-        sides = [(f, lo, hi) for f, lo, hi in cubics if f(lo) * f(hi) <= 0]
+        brackets = np.array([[-1.0 - 10 * (q + 1.0), -1.0], [1.0, 1.0 + 10 * (q + 1.0)]])
+        f_ends = np.array([f(b) for f, b in zip(cubics, brackets)]).T
+        side = f_ends[0] * f_ends[1] <= 0
         refined = rootfind.refine_brackets(
-            lambda v: [f(v) for f, _, _ in sides],
-            [(lo, hi) for _, lo, hi in sides],
+            lambda v: [f(v) for f, s in zip(cubics, side) if s],
+            brackets[side],
             xtol=1e-13,
-            families=[1] * len(sides),
+            families=[1] * side.sum(),
+            f_ends=f_ends[:, side],
         )
         return sorted(float(roots[0]) for roots, _ in refined)
     if stype.tag == "W1":

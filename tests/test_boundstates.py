@@ -14,6 +14,7 @@ from triband.boundstates import (
     ZERO_WINDOW,
     _ScanResiduals,
     _form,
+    _scan_brackets,
     boundary_values,
     connection_matrix,
     current,
@@ -21,6 +22,7 @@ from triband.boundstates import (
     eigenfunction,
     find_bound_states,
     general_bound_condition,
+    scan_segments,
     split_residuals,
     ConnectionMatrix,
     Levels,
@@ -392,6 +394,25 @@ def test_batched_solver_matches_per_parity_reference():
             # every field equal as a float, not merely close
             g, w = getattr(got, f.name), getattr(want, f.name)
             assert np.array_equal(g, w), (cfg, f.name, g, w)
+
+
+def test_scan_brackets_match_per_segment_reference():
+    # each parity's brackets are the set the per-segment reference finds, and
+    # carry the residuals at their ends, bit for bit
+    cases = [(cfg, geom, ()) for cfg, geom in random_configs(7, 60)]
+    cases += [(cfg, geom, comparison_domain(cfg, geom)) for cfg, geom, _ in cases]
+    assert any(excl for _, _, excl in cases)
+    for cfg, geom, excl in cases:
+        both = _ScanResiduals.of([cfg], geom).at(0).both
+        segments = scan_segments(cfg, excl)
+        scans = _scan_brackets(both, segments, 4000)
+        for k, (brackets, f_ends) in enumerate(scans):
+            want = _ref_brackets(lambda x: both(x)[k], segments, 4000)
+            assert set(map(tuple, brackets.tolist())) == set(want), (cfg, k)
+            assert np.array_equal(f_ends, both(brackets.T)[k]), (cfg, k)
+    # no segment, no bracket
+    for brackets, f_ends in _scan_brackets(both, [], 4000):
+        assert brackets.shape == (0, 2) and f_ends.shape == (2, 0)
 
 
 def test_scan_residuals_hold_one_form():

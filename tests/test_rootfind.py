@@ -25,6 +25,27 @@ def _one_parity(k, func=_two_parities):
     return lambda x: (func(x)[k],)
 
 
+def _f_ends(func, brackets, families, pick=None):
+    # the (2, n) end residuals a scan hands over with its (n, 2) brackets:
+    # bracket i reads output pick[i], by default the index of its family
+    if pick is None:
+        pick = np.repeat(np.arange(len(families)), families)
+    return np.choose(pick, func(np.asarray(brackets, dtype=float).reshape(-1, 2).T))
+
+
+def _refine(func, brackets, xtol, families, pick=None):
+    # refine_brackets on brackets whose end residuals are scored here
+    f_ends = _f_ends(func, brackets, families, pick)
+    brackets = np.asarray(brackets, dtype=float).reshape(-1, 2)
+    return rootfind.refine_brackets(func, brackets, xtol, families, pick, f_ends=f_ends)
+
+
+def _records(brackets, f_ends):
+    # the brackets of a scan as sorted (lo, hi, f(lo), f(hi)) rows
+    assert brackets.shape == f_ends.T.shape
+    return sorted(zip(*brackets.T.tolist(), *f_ends.tolist()))
+
+
 def test_sign_change_rows_match_one_call_per_row():
     rows = [
         np.linspace(-1.0, 1.0, 41),
@@ -35,19 +56,31 @@ def test_sign_change_rows_match_one_call_per_row():
         np.linspace(2.0, 3.0, 17),
     ]
     fs = [np.sin(7.0 * r) if k % 2 == 0 else r for k, r in enumerate(rows)]
-    want = sorted(
-        b for r, f in zip(rows, fs) for b in rootfind.sign_change_brackets(r, f, [r.size])
-    )
+    want = []
+    for r, f in zip(rows, fs):
+        brackets, f_ends = rootfind.sign_change_brackets(r, f, [r.size])
+        # f_ends is f at both ends of every bracket
+        assert np.array_equal(f_ends, f[np.searchsorted(r, brackets.T)])
+        want += _records(brackets, f_ends)
     got = rootfind.sign_change_brackets(
         np.concatenate(rows), np.concatenate(fs), [r.size for r in rows]
     )
-    assert got == want
+    assert _records(*got) == sorted(want)
+    # the exact zeros give the brackets of their neighbours within the row,
+    # with f at those neighbours
+    for zero in [
+        (-0.2, 0.3, np.sin(7.0 * -0.2), np.sin(7.0 * 0.3)),
+        (0.0, 0.4, 0.0, 0.4),
+        (-0.1, 0.0, np.sin(7.0 * -0.1), 0.0),
+    ]:
+        assert zero in want
     # a bracket never spans two rows, although the concatenation changes sign
     # between the end of one row and the start of the next
     a, b = np.array([0.0, 1.0]), np.array([2.0, 3.0])
-    assert rootfind.sign_change_brackets(
+    brackets, f_ends = rootfind.sign_change_brackets(
         np.concatenate([a, b]), np.array([1.0, 2.0, -1.0, -2.0]), [2, 2]
-    ) == []
+    )
+    assert brackets.shape == (0, 2) and f_ends.shape == (2, 0)
 
 
 def _plus_minus():
@@ -64,22 +97,22 @@ def test_joint_refine_equals_one_call_per_family():
     xtol = 1e-12
     plus, minus = _plus_minus()
     for func in (_two_parities, _signs):
-        got = rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
+        got = _refine(func, plus + minus, xtol, [len(plus), len(minus)])
         for k, fam in enumerate((plus, minus)):
-            (alone,) = rootfind.refine_brackets(_one_parity(k, func), fam, xtol, [len(fam)])
+            (alone,) = _refine(_one_parity(k, func), fam, xtol, [len(fam)])
             assert np.array_equal(got[k][0], alone[0])
             assert np.array_equal(got[k][1], alone[1])
     # an empty family gets an empty result, and leaves the others unchanged
-    got = rootfind.refine_brackets(_two_parities, minus, xtol, [0, len(minus)])
+    got = _refine(_two_parities, minus, xtol, [0, len(minus)])
     assert got[0][0].size == 0 and got[0][1].size == 0
-    (alone,) = rootfind.refine_brackets(_one_parity(1), minus, xtol, [len(minus)])
+    (alone,) = _refine(_one_parity(1), minus, xtol, [len(minus)])
     assert np.array_equal(got[1][0], alone[0]) and np.array_equal(got[1][1], alone[1])
 
 
 def test_refine_by_pick_equals_one_call_per_family():
-    # 70 families, more than np.choose takes arrays, each reading one of the
-    # two outputs by pick, as the solver's (V, parity) families of a block do;
-    # bracket widths grow with the family, so every family has its own count
+    # 70 families, each reading one of the two outputs by pick, as the
+    # solver's (V, parity) families of a block do; bracket widths grow with
+    # the family, so every family has its own count
     xtol = 1e-12
     families = []
     for j in range(70):
@@ -92,10 +125,10 @@ def test_refine_by_pick_equals_one_call_per_family():
     brackets = np.array([b for _, fam in families for b in fam])
     sizes = [len(fam) for _, fam in families]
     pick = np.repeat([k for k, _ in families], sizes)
-    got = rootfind.refine_brackets(_two_parities, brackets, xtol, sizes, pick=pick)
+    got = _refine(_two_parities, brackets, xtol, sizes, pick=pick)
     assert len(got) == len(families)
     for (k, fam), (roots, res) in zip(families, got):
-        (alone,) = rootfind.refine_brackets(_one_parity(k), fam, xtol, [len(fam)])
+        (alone,) = _refine(_one_parity(k), fam, xtol, [len(fam)])
         assert np.array_equal(roots, alone[0]) and np.array_equal(res, alone[1])
 
 
@@ -128,7 +161,7 @@ def test_multi_level_refine_matches_one_level_reference():
     z = np.arccos(0.3) / 5.0
     minus = [(z - 0.2, z + 0.25), (-z - 0.3, -z + 0.1), (1.2, 1.3)]
     for func in (_two_parities, _signs):
-        got = rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
+        got = _refine(func, plus + minus, xtol, [len(plus), len(minus)])
         for k, fam in enumerate((plus, minus)):
             _assert_same(got[k], ref_refine(lambda x: func(x)[k], fam, xtol))
     # 1 and 3 brackets score several levels per call, 40 two, and more than
@@ -138,7 +171,7 @@ def test_multi_level_refine_matches_one_level_reference():
     for n in counts:
         fam = _sin_brackets(n)
         for func in (_two_parities, _signs):
-            (got,) = rootfind.refine_brackets(_one_parity(0, func), fam, xtol, [n])
+            (got,) = _refine(_one_parity(0, func), fam, xtol, [n])
             _assert_same(got, ref_refine(lambda x: func(x)[0], fam, xtol))
 
 
@@ -151,52 +184,56 @@ def test_oracle_refine_matches_one_level_reference():
         def both(x):
             return oracle._parity_mismatches(cfg, geom, x, oracle.N_STEPS)
 
-        grids = rootfind.segment_grids(scan_segments(cfg, comparison_domain(cfg, geom)), N_GRID)
-        xs = np.concatenate(grids)
-        fams = [rootfind.sign_change_brackets(xs, f, [g.size for g in grids]) for f in both(xs)]
-        assert all(fams)
+        segments = scan_segments(cfg, comparison_domain(cfg, geom))
+        xs, lengths = rootfind.segment_grids(segments, N_GRID)
+        fams, f_ends = zip(*(rootfind.sign_change_brackets(xs, f, lengths) for f in both(xs)))
+        assert all(len(fam) for fam in fams)
         got = rootfind.refine_brackets(
-            both, fams[0] + fams[1], oracle.ORACLE_XTOL, [len(f) for f in fams]
+            both,
+            np.concatenate(fams),
+            oracle.ORACLE_XTOL,
+            [len(f) for f in fams],
+            f_ends=np.concatenate(f_ends, axis=1),
         )
         for k, fam in enumerate(fams):
-            _assert_same(got[k], ref_refine(lambda x: both(x)[k], fam, oracle.ORACLE_XTOL))
+            want = ref_refine(lambda x: both(x)[k], fam.tolist(), oracle.ORACLE_XTOL)
+            _assert_same(got[k], want)
 
 
 def test_refine_call_count_follows_the_level_rule():
-    # one call scores both ends, one per m bisection levels, and one the root
+    # the ends come scored: one call per m bisection levels, and one the root
     # together with its secant polish step
     xtol = 1e-12
-    for n in (1, 3, 40, rootfind.POINTS_PER_CALL + 44):
-        fam = _sin_brackets(n)
-        calls = []
-
-        def func(x):
-            calls.append(x)
-            return _two_parities(x)
-
-        rootfind.refine_brackets(func, fam, xtol, [n])
-        levels = math.ceil(math.log2(max(hi - lo for lo, hi in fam) / xtol)) + 1
-        m = _levels_per_call(n)
-        assert len(calls) == 1 + math.ceil(levels / m) + 1, n
-        # column i of every call holds abscissas of bracket i
-        assert [x.shape for x in (calls[0], calls[-1])] == [(2, n), (2, n)]
-        for x in calls[1:-1]:
-            assert x.shape[-1] == n and x.size <= max(n, rootfind.POINTS_PER_CALL)
-    # a call ends where a family's count ends: the counts 33 and 40 at m = 4
-    # take 9 calls to level 33 (the last one scores a single level), then 2
-    plus, minus = _plus_minus()
-    n = len(plus) + len(minus)
     calls = []
 
     def func(x):
         calls.append(x)
         return _two_parities(x)
 
-    rootfind.refine_brackets(func, plus + minus, xtol, [len(plus), len(minus)])
+    for n in (1, 3, 40, rootfind.POINTS_PER_CALL + 44):
+        fam = np.array(_sin_brackets(n))
+        calls.clear()
+        rootfind.refine_brackets(func, fam, xtol, [n], f_ends=_f_ends(_two_parities, fam, [n]))
+        levels = math.ceil(math.log2(np.max(fam[:, 1] - fam[:, 0]) / xtol)) + 1
+        m = _levels_per_call(n)
+        assert len(calls) == math.ceil(levels / m) + 1, n
+        # column i of every call holds abscissas of bracket i
+        assert calls[-1].shape == (2, n)
+        for x in calls[:-1]:
+            assert x.shape[-1] == n and x.size <= max(n, rootfind.POINTS_PER_CALL)
+    # a call ends where a family's count ends: the counts 33 and 40 at m = 4
+    # take 9 calls to level 33 (the last one scores a single level), then 2
+    plus, minus = _plus_minus()
+    brackets, sizes = np.array(plus + minus), [len(plus), len(minus)]
+    calls.clear()
+    rootfind.refine_brackets(
+        func, brackets, xtol, sizes, f_ends=_f_ends(_two_parities, brackets, sizes)
+    )
+    n = len(brackets)
     m = _levels_per_call(n)
     assert m == 4
-    assert len(calls) == 1 + math.ceil(33 / m) + math.ceil((40 - 33) / m) + 1 == 13
-    assert [x.size for x in calls[8:11]] == [(2**m - 1) * n, n, (2**m - 1) * n]
+    assert len(calls) == math.ceil(33 / m) + math.ceil((40 - 33) / m) + 1 == 12
+    assert [x.size for x in calls[7:10]] == [(2**m - 1) * n, n, (2**m - 1) * n]
 
 
 def _exact_zero_residuals(x):
@@ -244,7 +281,7 @@ def test_refine_matches_reference_family_by_family(fams, signs):
     sizes = [len(fam) for _, fam in fams]
     brackets = np.array([b for _, fam in fams for b in fam]).reshape(-1, 2)
     pick = np.repeat([k for k, _ in fams], sizes)
-    got = rootfind.refine_brackets(func, brackets, xtol, sizes, pick=pick)
+    got = _refine(func, brackets, xtol, sizes, pick=pick)
     assert len(got) == len(fams)
     for (k, fam), res in zip(fams, got):
         _assert_same(res, ref_refine(lambda x: func(x)[k], fam, xtol))
