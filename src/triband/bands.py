@@ -1,9 +1,9 @@
 """Three-band dispersion for constant potentials and flat-band classification.
 
 For a constant diagonal potential the dispersion relation is the cubic
-(E - v1)(E - v2)(E - v3) = (E - va) k^2.  For real k it always has three real
-roots (the polynomial changes sign on both sides of min(v1, v3) and
-max(v1, v3)), giving the lower, middle and upper bands.  A flat (k-independent)
+(E - v1)(E - v2)(E - v3) = (E - va) k^2.  For real k its three roots are the
+eigenvalues of a real symmetric tridiagonal matrix (_cubic_roots), so they are
+real, giving the lower, middle and upper bands.  A flat (k-independent)
 middle band exists exactly when va coincides with one of the zeros v_j, which
 in bare strengths means V11 + V33 = 2 V22 (plane A) or V33 - V11 = 2m
 (plane B).
@@ -68,55 +68,41 @@ class SigmaCoefficients:
 
 
 def _cubic_roots(cfg: PotentialConfig, k):
-    """Sorted roots (n, 3) of the dispersion cubic at each k of a 1-D array:
-    the eigenvalues np.roots takes, polished with accepted-only Newton steps."""
+    """Sorted roots (n, 3) of the dispersion cubic at each k of a 1-D array.
+
+    The cubic is det(E - T(k)) for the real symmetric tridiagonal
+    T(k) = [[v1, q, 0], [q, v2, q], [0, q, v3]] with q = k / sqrt(2), so one
+    eigvalsh call on the stack of T(k) gives real, sorted roots.  Two Newton
+    steps, each accepted only where it lowers the residual, polish them on the
+    cubic divided by s = 1 + k^2, whose factors stay finite for |k| < 2^512.
+    """
     v1, v2, v3, va = cfg.v1, cfg.v2, cfg.v3, cfg.va
-    k2 = (k * k)[:, None]  # a column, so each coefficient broadcasts over its k's roots
-    c3 = np.ones_like(k2)
-    c2 = -(v1 + v2 + v3) * c3
-    c1 = v1 * v2 + v1 * v3 + v2 * v3 - k2
-    c0 = -v1 * v2 * v3 + k2 * va
-    coeffs = np.hstack([c3, c2, c1, c0])
-    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
-    # np.roots strips trailing zero coefficients, takes the companion-matrix
-    # eigenvalues of the rest and appends a zero root per stripped one; the
-    # 3x3 companion matrix of a zero c0 has other eigenvalues in the last bit
-    degree = 3 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-    roots = np.zeros((k.size, 3), dtype=complex)
-    for d in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == d)
-        companion = np.repeat(np.eye(d, k=-1)[None], rows.size, axis=0)
-        companion[:, 0] = -coeffs[rows, 1 : d + 1]
-        roots[rows, :d] = np.linalg.eigvals(companion)
-    # multiple roots split into conjugate pairs of size O(eps^(1/3)); genuine
-    # complex roots cannot occur (the polynomial changes sign on both sides of
-    # min/max(v1, v3)), so only a large imaginary part signals trouble
-    bad = np.abs(roots.imag).max(axis=1) > 1e-5 * np.maximum(1.0, np.abs(roots.real).max(axis=1))
-    if bad.any():
-        raise DegenerateRoots(f"complex dispersion roots at k = {k[bad][0]}: {roots[bad][0]}")
-    e = np.sort(roots.real)
+    t = np.zeros((k.size, 3, 3))
+    t[:, [0, 1, 2], [0, 1, 2]] = v1, v2, v3
+    t[:, [0, 1, 1, 2], [1, 0, 2, 1]] = (k / SQRT2)[:, None]
+    e = np.linalg.eigvalsh(t)
+    root_s = np.sqrt(1.0 + k * k)[:, None]
+    q2 = (k[:, None] / root_s) ** 2
 
-    def poly(x):
-        return ((c3 * x + c2) * x + c1) * x + c0
+    def scaled(x):
+        """g = the cubic / s at x, its slope and the sum of its terms' sizes."""
+        a, b, c = (x - v1) / root_s, (x - v2) / root_s, (x - v3) / root_s
+        cubic, linear = a * b * (x - v3), q2 * (x - va)
+        return cubic - linear, a * b + a * c + b * c - q2, np.abs(cubic) + np.abs(linear)
 
-    p = poly(e)
-    for _ in range(2):  # Newton polish, accepted only when it helps (at a
-        # multiple root p and p' are both noise and their ratio is garbage)
-        dp = (3.0 * c3 * e + 2.0 * c2) * e + c1
-        step = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
-        step = np.clip(step, -0.1 * scale, 0.1 * scale)
-        trial = e - step
-        p_trial = poly(trial)
-        better = np.abs(p_trial) < np.abs(p)
-        e = np.where(better, trial, e)
-        p = np.where(better, p_trial, p)
-    order = np.argsort(e)
-    e, p = np.take_along_axis(e, order, 1), np.take_along_axis(p, order, 1)
-    fscale = 1.0 + np.abs((e - v1) * (e - v2) * (e - v3))
-    bad = np.any(np.abs(p) > 1e-8 * np.maximum(fscale, scale), axis=1)
-    if bad.any():
-        raise DegenerateRoots(f"root residual {np.abs(p[bad][0])} too large at k = {k[bad][0]}")
-    return e
+    for _ in range(2):  # accepted only where it helps: at a multiple root g and
+        # g' are both noise and their ratio is garbage
+        g, dg, _ = scaled(e)
+        trial = e - np.where(dg != 0, g / np.where(dg == 0, 1.0, dg), 0.0)
+        e = np.where(np.abs(scaled(trial)[0]) < np.abs(g), trial, e)
+    # g is a root's residual to 1e-8 of the terms it cancels, or its Newton
+    # step is within 1e-8 of max(1, |E|); the comparison also catches nan
+    g, dg, size = scaled(e)
+    ok = np.abs(g) <= 1e-8 * (size + np.abs(dg) * np.maximum(1.0, np.abs(e)))
+    if not ok.all():
+        bad = ~ok.all(axis=1)
+        raise DegenerateRoots(f"root residual {np.abs(g[bad][0])} too large at k = {k[bad][0]}")
+    return np.sort(e)
 
 
 def dispersion_bands(cfg: PotentialConfig, k) -> BandTriple:

@@ -398,13 +398,20 @@ def _check_solution(sol: Levels, cfg: PotentialConfig, geom: Geometry):
         raise ValueError(f"expected one level, levels[i], not {np.size(sol.energy)} levels")
     if not abs(sol.energy) < 1.0:
         raise OutOfDomainSolution(f"E = {sol.energy} outside the gap")
-    both = _ScanResiduals.of([cfg], geom).at(0).both(np.asarray([sol.energy]))
-    r = float(np.abs(both["+-".index(sol.parity)][0]))
-    # levels crowding the va accumulation point have huge residual slopes, so
-    # the reinsertion threshold must stay loose; foreign solutions miss by O(1)
-    if r > 1e-4 * cfg.scale():
+    # accept by the Newton step |r / r'| in energy units: the residual is steep
+    # near va, where a level's residual can reach 1e-3, while a foreign
+    # solution misses by about a level spacing.  r' is a central difference
+    # well inside the distance to the nearest pole (0, and va off the planes)
+    # or gap edge
+    e, res = sol.energy, _ScanResiduals.of([cfg], geom).at(0)
+    singular = (0.0, -1.0, 1.0, cfg.va) if res.form[0] == "generic" else (0.0, -1.0, 1.0)
+    h = 1e-3 * min(abs(e - p) for p in singular)
+    r, lo, hi = res.both(np.array([e, e - h, e + h]))["+-".index(sol.parity)]
+    # multiplied out, so a zero slope rejects and divides by nothing
+    if not abs(r) * 2.0 * h <= 1e-9 * max(1.0, abs(e)) * abs(hi - lo):
         raise OutOfDomainSolution(
-            f"solution does not satisfy this configuration (residual {r:g})"
+            f"solution does not satisfy this configuration (residual {abs(r):g}, "
+            f"slope {hi - lo:g} over 2h = {2.0 * h:g})"
         )
 
 

@@ -627,6 +627,20 @@ def test_eigenfunction_rejects_foreign_solution():
         eigenfunction(sols[0], other, FIG3_GEOM, np.linspace(-1, 1, 5))
 
 
+def test_levels_next_to_va_pass_the_solution_check():
+    # the residual is steep next to va, so a level there can leave a residual
+    # of 1e-3; the check takes the Newton step in energy units, which every
+    # solver level passes
+    checked = 0
+    for seed in (3, 7):
+        for cfg, geom in random_configs(seed, 300):
+            levels = find_bound_states(cfg, geom)
+            for i in np.flatnonzero(np.abs(levels.energy - cfg.va) < 1e-6):
+                boundary_values(levels[i], cfg, geom)
+                checked += 1
+    assert checked > 0
+
+
 def test_discontinuities_match_sampled_jumps():
     for cfg, geom, sol in _solutions():
         d1, d2 = discontinuities(sol, cfg, geom)

@@ -72,6 +72,25 @@ def test_bands_off_the_planes_write_the_pinned_bytes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, v
 
 
+def test_bands_off_the_planes_reach_large_k(tmp_path):
+    out = tmp_path / "bands.csv"
+    assert main(["bands", "--v", "3,0.7,0", "--kmax", "1e120", "--nk", "5", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [float(r[2]) for r in rows if r[0] != "0"] == [1.5] * 4  # e_mid at va
+
+
+def test_wavefunction_of_a_level_next_to_va(tmp_path):
+    # seed 42, case 238 of random_configs: a level within 1e-6 of va, whose
+    # scan residual is 4.6e-4, goes through the solution check
+    argv = [
+        "boundstates", "--v=-2.5520349844985457,-3.387459371480759,4.400190108075147",
+        "--l", "2.686368720095624", "--out", str(tmp_path / "levels.csv"),
+        "--wavefunction", str(tmp_path / "wf.csv"),
+    ]
+    assert main(argv) == 0
+    assert (tmp_path / "wf.csv").stat().st_size > 0
+
+
 def test_flat_command(capsys):
     code, out, err = run(["flat", "--v11", "-0.5", "--v33", "1.5", "--m", "1"], capsys)
     assert code == 0
