@@ -19,7 +19,11 @@ Integration is fixed-step RK4, deliberately ignorant of the closed-form
 trigonometry used by the main solver.  The interior coefficients are constant,
 so every step applies the same 2x2 matrix and the n_steps-step iterate is
 formed by binary powering of that matrix (`_rk4`): the same iterate as
-stepping, in O(log n_steps) array operations per energy batch, with no
+stepping, in O(log n_steps) array operations per energy batch.  The step is
+divided once by its spectral radius, a positive scale that moves no zero, so
+every power keeps a norm between fixed bounds and nothing overflows or
+underflows at any n_steps; the powering itself divides by nothing.  The
+radius comes from the step's own coefficients, so the oracle still uses no
 trigonometry, matrix exponential or eigen-decomposition.  Fixed steps are
 adequate as long as |k| h stays small; callers probing large wave numbers
 should raise n_steps, and the work grows only as log n_steps.  The module only
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import rootfind
 from .boundstates import N_GRID, scan_segments
-from .model import Geometry, PotentialConfig, kappa
+from .model import SQRT2, Geometry, PotentialConfig, kappa
 
 ORACLE_XTOL = 1e-10  # bisection tolerance
 N_STEPS = 2000  # RK4 steps of the solver-versus-oracle comparison
@@ -46,38 +50,47 @@ def _rk4(cfg: PotentialConfig, e: np.ndarray, u, v, span: float, n_steps: int):
     and M^2 = c I with c = h^2 cu cv, so S = p I + q M exactly.  Products of
     such matrices stay of that form, (p1, q1)(p2, q2) = (p1 p2 + c q1 q2,
     p1 q2 + q1 p2), so S^n_steps = P I + Q M follows by binary powering in
-    O(log n_steps) array operations.  Every factor is divided by
-    |p| + |q| sqrt|c|, positive because S and its powers are never singular,
-    which keeps the evanescent growth finite.
+    O(log n_steps) array operations.
+
+    The one-step pair is divided once by the spectral radius rho of S.
+    Where c >= 0 both eigenvalues p +- q sqrt(c) are positive (the degree-4
+    Taylor polynomial of exp has no real zero), so rho = p + q sqrt(c), and
+    the powers of S / rho have eigenvalues 1 and r^n with 0 < r <= 1, so
+    |P| + |Q| sqrt(c) = 1.  Where c < 0 the eigenvalues are a conjugate pair
+    of modulus rho = hypot(p, q sqrt(-c)) (hypot, because p^2 overflows
+    first), so P and Q sqrt(-c) are the cosine and sine of one angle and
+    1 <= |P| + |Q| sqrt(-c) <= sqrt(2).  Every power stays within those
+    bounds whatever n_steps, so the loop divides by nothing and cannot
+    overflow or underflow.  A smaller normalizer, such as |p| + |q| sqrt|c|
+    applied once, would leave the oscillatory powers decaying geometrically
+    until they underflow at large n_steps.  rho is a positive scale computed
+    from p, q and c, and the iterate is still the product of n_steps RK4
+    steps: no trigonometry, matrix exponential or eigen-decomposition.
     """
-    cu = np.sqrt(2.0) * (e - cfg.v2)
+    cu = SQRT2 * (e - cfg.v2)
     denom = 2.0 * e - cfg.v1 - cfg.v3
-    cv = -np.sqrt(2.0) * (e - cfg.v1) * (e - cfg.v3) / denom
+    cv = -SQRT2 * (e - cfg.v1) * (e - cfg.v3) / denom
     h = span / n_steps
     c = h * h * cu * cv
+    p, q = 1.0 + c / 2.0 + c * c / 24.0, 1.0 + c / 6.0
     root_c = np.sqrt(np.abs(c))
-
-    def scaled(p, q):
-        s = np.abs(p) + np.abs(q) * root_c
-        return p / s, q / s
-
-    bp, bq = scaled(1.0 + c / 2.0 + c * c / 24.0, 1.0 + c / 6.0)
-    pp, pq = np.ones_like(c), np.zeros_like(c)
+    rho = np.where(c >= 0.0, p + q * root_c, np.hypot(p, q * root_c))
+    bp, bq = p / rho, q / rho
+    pp = None
     n = n_steps
-    while n:
+    while True:
         if n & 1:
-            pp, pq = scaled(pp * bp + c * pq * bq, pp * bq + pq * bp)
-        bp, bq = scaled(bp * bp + c * bq * bq, 2.0 * bp * bq)
+            pp, pq = (bp, bq) if pp is None else (pp * bp + c * pq * bq, pp * bq + pq * bp)
         n >>= 1
+        if not n:
+            break
+        bp, bq = bp * bp + c * bq * bq, 2.0 * bp * bq
     return pp * u + pq * h * cu * v, pp * v + pq * h * cv * u
 
 
-def _left_ray(cfg: PotentialConfig, e: np.ndarray):
-    kap = kappa(e)
-    u = 2.0 * e / kap
-    v = np.full_like(np.asarray(e, dtype=float), np.sqrt(2.0))
-    norm = np.hypot(u, v)
-    return u / norm, v / norm
+def _left_ray(e: np.ndarray):
+    """(u, v) along the left decaying ray, up to a positive factor."""
+    return 2.0 * e / kappa(e), np.full_like(e, SQRT2)
 
 
 def _parity_mismatches(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_steps: int):
@@ -89,7 +102,7 @@ def _parity_mismatches(cfg: PotentialConfig, geom: Geometry, e: np.ndarray, n_st
     mismatch cannot resolve on any fixed grid.
     """
     e = np.asarray(e, dtype=float)
-    u, v = _left_ray(cfg, e)
+    u, v = _left_ray(e)
     u, v = _rk4(cfg, e, u, v, 0.5 * geom.l, max(1, n_steps // 2))
     norm = np.hypot(u, v)
     return u / norm, v / norm

@@ -69,10 +69,12 @@ def segment_grids(segments, n_grid: int):
 # n (2^m - 1) <= POINTS_PER_CALL, and at least 1.  A residual call on a few
 # brackets costs about its fixed overhead: on a 2-core VM (numpy 2.4.6) the
 # scan residual took 23 us on 1 to 64 abscissas and 34 us on 256, the
-# oracle's RK4 mismatches 102 and 136 us.  So m grows there (m = 4 to 7 on
-# the oracle's 2 to 15 brackets over the default verify suite), while the
-# sweep's blocks of ~3,000 brackets get m = 1.  Limits of 128 to 1024 refined
-# the solver's brackets equally fast.
+# oracle's RK4 mismatches 61 to 67 us and 83 us.  So m grows there (m = 4 to
+# 7 on the oracle's 2 to 15 brackets over the default verify suite), while
+# the sweep's blocks of ~3,000 brackets get m = 1.  Limits of 128 to 1024
+# refined the solver's brackets equally fast, and cross-checks of the
+# benchmark's four pool configurations took 10.5 ms at 256 and 10.5 to
+# 11.1 ms at 64 to 1024.
 POINTS_PER_CALL = 256
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +54,36 @@ def test_oracle_reference_levels():
 
 
 def test_step_halving_stability():
-    for n_steps in (2000,):
-        a = oracle_bound_states(FIG3_CFG, FIG3_GEOM, n_steps=n_steps)
-        b = oracle_bound_states(FIG3_CFG, FIG3_GEOM, n_steps=2 * n_steps)
-        assert len(a) == len(b)
-        assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-9
+    # fig3 lies on the flat-band planes; random_configs(42, 4)[1] and [3] put
+    # va, the pole of k^2, in the gap, and are compared outside its window.
+    # 2000 steps agree with 4000 to 1e-9, 2^17 with 2^18 to rounding
+    cases = [(FIG3_CFG, FIG3_GEOM)] + [random_configs(42, 4)[i] for i in (1, 3)]
+    for cfg, geom in cases:
+        excl = comparison_domain(cfg, geom)
+        for n_steps, tol in ((2000, 1e-9), (2**17, 1e-13)):
+            a = oracle_bound_states(cfg, geom, n_steps=n_steps, extra_exclusions=excl)
+            b = oracle_bound_states(cfg, geom, n_steps=2 * n_steps, extra_exclusions=excl)
+            assert len(a) == len(b), (cfg, n_steps)
+            assert np.max(np.abs(np.array(a) - np.array(b))) < tol, (cfg, n_steps)
+
+
+def test_mismatches_stay_finite_next_to_va():
+    # within 1e-4 of va on its k^2 > 0 side the one-step phase is large, and
+    # a one-step normalizer below the spectral radius (|p| + |q| sqrt|c|)
+    # lets its powers underflow from 8000 steps on
+    d = np.logspace(-7, -4, 31)
+    for cfg, _ in random_configs(42, 300):
+        e = np.concatenate([cfg.va - d, cfg.va + d])
+        if abs(cfg.va) < 0.9 and np.count_nonzero(k_squared(cfg, e) > 0) >= 10:
+            break
+    e = e[k_squared(cfg, e) > 0]
+    assert e.size >= 10
+    for n_steps in (2000, 8000, 2**17):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u, v = oracle._parity_mismatches(cfg, Geometry.centered(3.0), e, n_steps)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v)), n_steps
+        assert np.allclose(np.hypot(u, v), 1.0, rtol=0.0, atol=1e-15), n_steps
 
 
 def test_oracle_matches_solver_on_middle_barrier():
@@ -151,7 +177,7 @@ def _stepwise_rk4(cfg, e, u, v, span, n_steps):
 def _mismatches(cfg, geom, e, n_steps):
     """Full-span cross product with the right decaying ray, then the two
     midpoint parity mismatches."""
-    u, v = oracle._rk4(cfg, e, *oracle._left_ray(cfg, e), geom.l, n_steps)
+    u, v = oracle._rk4(cfg, e, *oracle._left_ray(e), geom.l, n_steps)
     ru, rv = 2.0 * e / kappa(e), -np.sqrt(2.0)
     full = (u * rv - v * ru) / np.hypot(u, v) / np.hypot(ru, rv)
     return np.stack([full, *oracle._parity_mismatches(cfg, geom, e, n_steps)])

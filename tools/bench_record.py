@@ -9,9 +9,11 @@ into a temporary directory and benchmarked there.  The change is this checkout
 pair alternates (parent first on even pairs, change first on odd ones), so a
 drift of the machine does not favour either side.  The last JSON line of every
 run goes into --out, with the machine (nproc, Python and numpy versions) and,
-per workload, trace mode and metric, the medians and quartiles of both sides and
-the number of pairs the change wins.  An existing --out is extended, so one file
-can hold several workloads.  Run from the root of a checkout.
+per workload, trace mode and metric, the medians and quartiles of both sides,
+the number of pairs the change wins and the verdicts `gain_shown` and, for the
+end-to-end metrics of BENCHMARK.json, `regression` (see _compare).  An
+existing --out is extended, so one file can hold several workloads.  Run from
+the root of a checkout.
 """
 
 from __future__ import annotations
@@ -63,12 +65,47 @@ def _quartiles(values):
     return {"median": float(q2), "q1": float(q1), "q3": float(q3)}
 
 
+def _compare(par, chg, sign, bound=None) -> dict:
+    """One metric's paired parent and change values: both sides' medians and
+    quartiles, the pairs the change wins (`sign` +1 where higher is better,
+    -1 where lower is), and two verdicts.
+
+    gain_shown, whether a gain may be claimed: at least ten pairs, the
+    change wins at least nine tenths of them, and its median beats the
+    parent's by more than the parent's interquartile range.  regression,
+    for metrics with a relative `bound`: "worse" when the change median is
+    worse by more than bound x the parent median; "unresolved" when the
+    parent's interquartile range is wider than that, unless every change run
+    beats every parent run; "no worse" otherwise.
+    """
+    p, c = _quartiles(par), _quartiles(chg)
+    gain = sign * (c["median"] - p["median"])
+    spread = p["q3"] - p["q1"]
+    wins = sum(sign * (y - x) > 0 for x, y in zip(par, chg))
+    out = {
+        "parent": p,
+        "change": c,
+        "change_wins": wins,
+        "gain_shown": bool(len(par) >= 10 and 10 * wins >= 9 * len(par) and gain > spread),
+    }
+    if bound is not None:
+        allowed = bound * abs(p["median"])
+        if gain < -allowed:
+            out["regression"] = "worse"
+        elif spread > allowed and not min(sign * y for y in chg) > max(sign * x for x in par):
+            out["regression"] = "unresolved"
+        else:
+            out["regression"] = "no worse"
+    return out
+
+
 def summarize(runs, declared) -> dict:
-    """Per (workload, trace) and metric: both sides' medians and quartiles,
-    and the pairs the change wins in the metric's better direction."""
+    """Per (workload, trace) and metric, _compare of the paired runs; only
+    end-to-end metrics have a bound, so only they get a regression verdict."""
     better = {
         m["name"]: m["better"] for kind in ("end_to_end", "per_layer") for m in declared[kind]
     }
+    bound = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     out = {}
     groups = sorted({(r["workload"], r["trace"]) for r in runs})
     for workload, trace in groups:
@@ -82,11 +119,7 @@ def summarize(runs, declared) -> dict:
             par = [p["parent"]["metrics"][name]["value"] for p in pairs]
             chg = [p["change"]["metrics"][name]["value"] for p in pairs]
             sign = 1.0 if better.get(name) == "higher" else -1.0
-            metrics[name] = {
-                "parent": _quartiles(par),
-                "change": _quartiles(chg),
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(par, chg)),
-            }
+            metrics[name] = _compare(par, chg, sign, bound.get(name))
         out[f"{workload}/trace{trace}"] = {
             "pairs": len(pairs),
             "all_correct": all(p[s]["correct"] for p in pairs for s in p),
