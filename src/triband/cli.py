@@ -393,11 +393,19 @@ def build_parser():
 def _parse(argv):
     """argv parsed again over the flag defaults its boundstates or sweep preset
     stands for.  The pointlimit presets (table1, fig10, fig11) read none of
-    POINTLIMIT_PRESET_UNREAD, so giving one with them is a usage error."""
+    POINTLIMIT_PRESET_UNREAD, so giving one with them is a usage error.
+    Without a preset, --parity picks the level of pointlimit sets P and D and
+    must be given there; the ladder sets are indexed by --n and read no
+    --parity, so giving it with them is a usage error too."""
     parser, subs = build_parser()
     args = parser.parse_args(argv)
     preset = getattr(args, "preset", None)
     if preset is None:
+        if args.command == "pointlimit":
+            by_parity = args.set in ("P", "D")
+            if by_parity != (args.parity is not None):
+                rule = "needs --parity + or -" if by_parity else "reads no --parity"
+                subs["pointlimit"].error(f"--set {args.set} {rule}")
         return args
     sub = subs[args.command]
     if args.command in PRESETS:

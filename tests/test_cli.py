@@ -1,11 +1,10 @@
-import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_pins import bench_inputs, pins
 from triband.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -56,20 +55,6 @@ def test_mass_rescales_the_wave_numbers(tmp_path):
     assert main(["bands", "--v", "6,3,0", "--m", "2", "--kmax", "10", *grid, str(scaled)]) == 0
     assert main(["bands", "--v", "3,1.5,0", "--kmax", "5", *grid, str(plain)]) == 0
     assert scaled.read_bytes() == plain.read_bytes()
-
-
-# the SHA-256 of `bands --v V --nk 401`, off the flat-band planes, k = 0 included
-BANDS_DIGESTS = {
-    "3,0.7,0": "cebeadd25ccd968403170c007c19d8c20475ab58f06786ba65635fcd866a1209",
-    "3,0,0": "77b8f9c32c50896a7fadcf3ba896b8e553b78e65025e68239627ecc5690d1d8c",
-}
-
-
-def test_bands_off_the_planes_write_the_pinned_bytes(tmp_path):
-    for v, digest in BANDS_DIGESTS.items():
-        out = tmp_path / f"{v}.csv"
-        assert main(["bands", "--v", v, "--nk", "401", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, v
 
 
 def test_bands_off_the_planes_reach_large_k(tmp_path):
@@ -269,26 +254,6 @@ def test_sweep_rescales_strengths_like_boundstates(tmp_path):
     assert column(sw, "E_b") == column(bs, "E_b")
 
 
-# the SHA-256 of `sweep --preset figN --nv 241`, pinned here and nowhere else
-SWEEP_DIGESTS = {
-    "fig4": "04d8e8ef944745e18d3ebd00907082b41cd38ba093e682007422ab61002ca965",
-    "fig5": "777bf4aa81b44595ad1d808cb709f4541ed292bf9675099dfc62582a260bb0d4",
-    "fig7": "cf729c59e752263644e3d34c601606228cc0f9986d568980197a93b28eb6e193",
-    "fig8": "eecb4213db7d9c5ea559e6e63ac94b694aacec06570829487e487c451804bb69",
-    "fig9": "9cf02f91dd56eb78989dd7a07bd24170a37e8e1fbcef2c9e710aa28d270c00d4",
-}
-
-
-def test_sweep_presets_write_the_pinned_bytes(tmp_path):
-    # fig5 guards the row order: from V = 7.8 on, a "+" and a "-" level have
-    # the same float energy, and the "-" level (branch 2) comes first, by
-    # branch id, although it follows the "+" level (branch 5) in level order
-    for preset, digest in SWEEP_DIGESTS.items():
-        out = tmp_path / f"{preset}.csv"
-        assert main(["sweep", "--preset", preset, "--nv", "241", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, preset
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -360,6 +325,10 @@ def test_usage_error_exit_code():
         ["pointlimit", "--converge", "--l0", "inf"],
         # --l and --x1/--x2 both give the width
         ["boundstates", "--v", "1,1,1", "--l", "1", "--x1", "0", "--x2", "2"],
+        # --parity picks the P and D levels, and the ladder sets read none
+        ["pointlimit", "--set", "P", "--g", "2"],
+        ["pointlimit", "--set", "D", "--g", "2", "--converge"],
+        ["pointlimit", "--set", "H2", "--family", "l2", "--g", "2", "--n", "0..1", "--parity", "-"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
@@ -402,28 +371,12 @@ def test_numerical_trouble_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "out.csv.manifest.json").exists()
 
 
-def _perfbench_inputs():
-    """perfbench/inputs.py, loaded from its file: the one home of CLI_COMMANDS."""
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_cli_small_outputs_match_the_benchmark_digests(tmp_path):
+def test_cli_small_outputs_match_the_benchmark_digests():
     # the four commands of the benchmark's cli_small workload write the bytes
-    # that perfbench/refs/cli_small.json pins (manifests hold timings)
-    commands = _perfbench_inputs().CLI_COMMANDS
+    # that perfbench/refs/cli_small.json pins
+    commands = bench_inputs.CLI_COMMANDS
     with open(PERFBENCH / "refs" / "cli_small.json") as fh:
         digests = json.load(fh)["outputs"]
     assert sorted(digests) == sorted(commands)
     for name, argv in commands.items():
-        out = tmp_path / name
-        out.mkdir()
-        assert main([a.replace("{out}", str(out)) for a in argv]) == 0
-        got = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in out.iterdir()
-            if not p.name.endswith(".manifest.json")
-        }
-        assert got == {f: d["sha256"] for f, d in digests[name].items()}, name
+        assert pins.digests(argv) == {f: d["sha256"] for f, d in digests[name].items()}, name
