@@ -28,7 +28,7 @@ from .pointlimits import (
     limit_matrix,
     squeezed_eigenfunction,
 )
-from .spectra import PencilSpec, classify, sweep
+from .spectra import PencilSpec, classify, one_point_parity, sweep
 from .verify import checks, run_check
 
 FAMILY_NAMES = {"delta": "delta", "l23": "two_thirds", "l2": "inv_square"}
@@ -70,15 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-    def parse_known_args(self, args=None, namespace=None):
-        ns, rest = super().parse_known_args(args, namespace)
-        x1, x2 = getattr(ns, "x1", None), getattr(ns, "x2", None)
-        if (x1 is None) != (x2 is None):
-            self.error("--x1 and --x2 must be given together")
-        if x1 is not None and not x1 < x2:
-            self.error(f"need --x1 < --x2, got {x1} and {x2}")
-        return ns, rest
 
 
 def _checked(kind, ok, what):
@@ -237,12 +228,7 @@ def _table1_rows():
         pencil = SET_PENCILS[set_tag]
         law = SqueezeLaw(FAMILY_NAMES[fam], g)
         for n in ns:
-            try:
-                e = limit_energy(pencil, law, n=n)
-            except DomainError:
-                continue
-            if e is None:
-                continue
+            e = limit_energy(pencil, law, n=n)
             pi = limit_matrix(pencil, law, n=n, e_n=e)
             lam = pi.lambda_n
             out.append(
@@ -392,31 +378,36 @@ def build_parser():
 
 def _parse(argv):
     """argv parsed again over the flag defaults its boundstates or sweep preset
-    stands for.  The pointlimit presets (table1, fig10, fig11) read none of
-    POINTLIMIT_PRESET_UNREAD, so giving one with them is a usage error.
-    Without a preset, --parity picks the level of pointlimit sets P and D and
-    must be given there; the ladder sets are indexed by --n and read no
-    --parity, so giving it with them is a usage error too."""
+    stands for, with the usage rules that tie flags together.  The pointlimit
+    presets (table1, fig10, fig11) read none of POINTLIMIT_PRESET_UNREAD, so
+    giving one with them is a usage error.  Without a preset, each --n with
+    --set, --family and --parity must label a level that
+    spectra.one_point_parity accepts."""
     parser, subs = build_parser()
     args = parser.parse_args(argv)
     preset = getattr(args, "preset", None)
-    if preset is None:
-        if args.command == "pointlimit":
-            by_parity = args.set in ("P", "D")
-            if by_parity != (args.parity is not None):
-                rule = "needs --parity + or -" if by_parity else "reads no --parity"
-                subs["pointlimit"].error(f"--set {args.set} {rule}")
-        return args
     sub = subs[args.command]
-    if args.command in PRESETS:
+    if args.command in PRESETS and preset is not None:
         sub.set_defaults(**PRESETS[args.command][preset])
-        return parser.parse_args(argv)
-    unset = object()
-    sub.set_defaults(**dict.fromkeys(POINTLIMIT_PRESET_UNREAD, unset))
-    given = vars(parser.parse_args(argv))
-    flags = [f"--{k}" for k in POINTLIMIT_PRESET_UNREAD if given[k] is not unset]
-    if flags:
-        sub.error(f"--preset {preset} reads none of {', '.join(flags)}")
+        args = parser.parse_args(argv)
+    elif args.command == "pointlimit" and preset is not None:
+        unset = object()
+        sub.set_defaults(**dict.fromkeys(POINTLIMIT_PRESET_UNREAD, unset))
+        given = vars(parser.parse_args(argv))
+        flags = [f"--{k}" for k in POINTLIMIT_PRESET_UNREAD if given[k] is not unset]
+        if flags:
+            sub.error(f"--preset {preset} reads none of {', '.join(flags)}")
+    elif args.command == "pointlimit":
+        for n in args.n:
+            try:
+                one_point_parity(args.set, FAMILY_NAMES[args.family], n, args.parity)
+            except DomainError as exc:
+                sub.error(f"--set {args.set} --family {args.family} --n {n}: {exc}")
+    if args.command == "boundstates":
+        if (args.x1 is None) != (args.x2 is None):
+            sub.error("--x1 and --x2 must be given together")
+        if args.x1 is not None and not args.x1 < args.x2:
+            sub.error(f"need --x1 < --x2, got {args.x1} and {args.x2}")
     return args
 
 

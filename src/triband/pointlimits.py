@@ -44,7 +44,7 @@ from .model import (
     rho,
     sc_kernels,
 )
-from .spectra import PencilSpec, classify, one_point_energy
+from .spectra import PencilSpec, classify, one_point_energy, one_point_parity
 
 FAMILIES = ("delta", "two_thirds", "inv_square")
 
@@ -88,15 +88,6 @@ def _is_type_three(pencil: PencilSpec) -> bool:
         and z(pencil.alpha2)
         and z(pencil.alpha3)
     )
-
-
-def level_parity(tag: str, n: int) -> str:
-    """Which split equation the n-th limit level solves."""
-    if tag in ("H2", "W2"):
-        return "+" if n % 2 == 0 else "-"
-    if tag in ("H1", "W1"):
-        return "+" if n % 2 == 1 else "-"
-    raise TypeMismatch(f"levels of type {tag!r} are labeled by parity, not index")
 
 
 def limit_energy(pencil: PencilSpec, law: SqueezeLaw, n: int = 0, parity: str | None = None):
@@ -189,14 +180,14 @@ def convergence_study(
     if e_limit is None:
         raise UnsupportedCombination("no limit level to converge to")
     tag = classify(pencil).tag
-    want_parity = parity if tag in ("P", "D") else level_parity(tag, n)
+    want_parity = one_point_parity(tag, law.family, n, parity)
     gaps = []
     if tag not in ("P", "D"):  # ladder families: look at neighboring levels
         for other in (n - 1, n + 1):
             if other < 0:
                 continue
             try:
-                e_o = limit_energy(pencil, law, n=other, parity=parity)
+                e_o = limit_energy(pencil, law, n=other)
             except (OutOfValidityWindow, UnsupportedCombination, TypeMismatch):
                 continue
             if e_o is not None:
@@ -241,8 +232,7 @@ def squeezed_eigenfunction(
     e = limit_energy(pencil, law, n=n, parity=parity)
     if e is None:
         raise UnsupportedCombination("no bound state in this limit")
-    tag = classify(pencil).tag
-    par = parity if tag in ("P", "D") else level_parity(tag, n)
+    par = one_point_parity(classify(pencil).tag, law.family, n, parity)
     x = np.array(x_grid, dtype=float)
     right = x > 0
     psi = np.empty((3, x.size))

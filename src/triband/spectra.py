@@ -16,11 +16,13 @@ Large-|V| behavior sorts the pencils into four species:
        a1, a3 != 0 and a1 + a3 != 0, or a1 > 0, a2 != 0, a3 = 0 on P1).
 
 one_point_energy is the one table of the closed-form one-point
-(point-interaction) laws, keyed by species, squeezing rate and strength g.
-pointlimits.limit_energy reads it for a pencil and a SqueezeLaw,
-asymptotic_energy for a strength V and a width l.  The laws are exact as
-l -> 0 at fixed g; at fixed l they carry an offset of order l that does not
-shrink with V.
+(point-interaction) laws, keyed by species, squeezing rate and strength g;
+one_point_parity is its label rule, which decides the rates each species
+takes and whether its levels are labelled by parity or by index, and gives
+each level's parity.  pointlimits.limit_energy reads the table for a pencil
+and a SqueezeLaw, asymptotic_energy for a strength V and a width l.  The
+laws are exact as l -> 0 at fixed g; at fixed l they carry an offset of
+order l that does not shrink with V.
 """
 
 from __future__ import annotations
@@ -186,6 +188,37 @@ def _link(v_grid, levels):
     return [Branch("+-"[p_of[idx[0]]], np.array(idx)) for idx in branches], events
 
 
+def one_point_parity(tag: str, family: str, n: int, parity: str | None) -> str:
+    """The split-equation parity of a one-point level, once its label is checked.
+
+    The label rule of the one table.  Types P and D are realized by the delta
+    rate only and label their two levels by parity '+' or '-', with n = 0.
+    The H1 ladder takes the two_thirds rate, from n = 1; the H2, W1 and W2
+    ladders take the delta or inv_square rate.  A ladder level is labelled by
+    n alone, and its parity follows from n.  Raises UnsupportedCombination
+    for a (type, rate) pair the theory does not cover and TypeMismatch for a
+    label of the wrong kind.
+    """
+    if tag in ("P", "D"):
+        if family != "delta":
+            raise UnsupportedCombination(f"type {tag} is realized by the delta rate only")
+        if parity not in ("+", "-") or n != 0:
+            raise TypeMismatch(f"type {tag} levels need parity '+' or '-' and n = 0")
+        return parity
+    if tag == "H1":
+        if family != "two_thirds" or n < 1:
+            raise UnsupportedCombination("type H1 takes the two_thirds rate, from n = 1")
+    elif tag not in ("H2", "W1", "W2"):
+        raise UnsupportedCombination(f"no squeezing limit tabulated for type {tag!r}")
+    elif family not in ("delta", "inv_square"):
+        raise UnsupportedCombination(f"type {tag} uses the delta or inv_square rates")
+    if parity is not None:
+        raise TypeMismatch(f"type {tag} levels are labelled by n and take no parity")
+    if tag in ("H2", "W2"):
+        return "+" if n % 2 == 0 else "-"
+    return "+" if n % 2 == 1 else "-"
+
+
 def one_point_energy(
     stype: SpectrumType,
     family: str,
@@ -198,21 +231,18 @@ def one_point_energy(
 
     The one table of the one-point laws: stype is the spectrum species,
     family the squeezing rate ("delta", "two_thirds" or "inv_square") and g
-    its strength, alpha the pencil coefficient a1 (H1, W2).  For types P and
-    D (delta rate only) parity '+'/'-' selects the level; for the ladder
-    types the index n does, and n = 0 always denotes the separate ground
-    branch.  Raises OutOfValidityWindow when (g, n) falls outside a ladder's
-    stated interval, UnsupportedCombination for (type, rate) pairs the
-    theory does not cover, and TypeMismatch when stype lacks the beta or
-    alpha its law needs.
+    its strength, alpha the pencil coefficient a1 (H1, W2).  The level is
+    labelled as one_point_parity checks, which runs first: parity '+'/'-'
+    for types P and D, the index n for the ladder types, where n = 0 always
+    denotes the separate ground branch.  Raises OutOfValidityWindow when
+    (g, n) falls outside a ladder's stated interval, TypeMismatch when stype
+    lacks the beta or alpha its law needs, and whatever one_point_parity
+    raises for the label.
     """
     tag = stype.tag
     beta = stype.beta
+    one_point_parity(tag, family, n, parity)
     if tag in ("P", "D"):
-        if family != "delta":
-            raise UnsupportedCombination(f"type {tag} is realized by the delta rate only")
-        if parity not in ("+", "-"):
-            raise TypeMismatch("types P and D need parity '+' or '-'")
         if beta is None or (beta <= 0 if tag == "P" else beta >= 0):
             raise TypeMismatch(f"type {tag} needs beta {'>' if tag == 'P' else '<'} 0")
         x = 0.5 * np.sqrt(abs(beta)) * g
@@ -229,19 +259,11 @@ def one_point_energy(
             return float(sgn * th / np.sqrt(th * th - beta))
         return float(sgn / np.sqrt(1.0 - beta * th * th))
     if tag == "H1":
-        if family != "two_thirds":
-            raise UnsupportedCombination("type H1 excited levels use the two_thirds rate")
-        if n < 1:
-            raise UnsupportedCombination("the two_thirds ladder starts at n = 1")
         if not 0 < abs(g) < (n * np.pi / abs(alpha)) ** (2.0 / 3.0):
             raise OutOfValidityWindow(
                 f"two_thirds level n={n} needs 0 < |g| < (n pi/alpha)^(2/3)"
             )
         return float((alpha / (n * np.pi)) ** 2 * g**3)
-    if tag not in ("H2", "W1", "W2"):
-        raise UnsupportedCombination(f"no squeezing limit tabulated for type {tag!r}")
-    if family not in ("delta", "inv_square"):
-        raise UnsupportedCombination(f"type {tag} uses the delta or inv_square rates")
     if tag == "W1" and beta is None:
         raise TypeMismatch("type W1 needs beta")
     if tag == "W2" and alpha <= 0:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from test_pins import bench_inputs, pins
-from triband.cli import main
+from triband.cli import FAMILY_NAMES, SET_PENCILS, main
+from triband.model import DomainError, OutOfValidityWindow
+from triband.pointlimits import SqueezeLaw, limit_energy
+from triband.spectra import one_point_parity
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -329,6 +333,11 @@ def test_usage_error_exit_code():
         ["pointlimit", "--set", "P", "--g", "2"],
         ["pointlimit", "--set", "D", "--g", "2", "--converge"],
         ["pointlimit", "--set", "H2", "--family", "l2", "--g", "2", "--n", "0..1", "--parity", "-"],
+        # P and D have the one index n = 0, and each set its own squeezing rates
+        ["pointlimit", "--set", "P", "--g", "2", "--parity", "+", "--n", "0..2"],
+        ["pointlimit", "--set", "P", "--family", "l2", "--g", "2", "--parity", "+"],
+        ["pointlimit", "--set", "H1", "--family", "delta", "--g", "1", "--n", "1"],
+        ["pointlimit", "--set", "H1", "--family", "l23", "--g", "1", "--n", "0"],
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
@@ -340,6 +349,36 @@ def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(f"triband {argv[0]}: error: ")
+
+
+def test_pointlimit_accepts_the_labels_the_one_point_rule_accepts(tmp_path):
+    # every --set, --family, --n and --parity at the default --g 1: a usage
+    # error exactly where spectra.one_point_parity rejects the label; else the
+    # answer, an empty row where the limit holds no level, or exit 2 where g
+    # lies outside the level's validity window
+    parities = (None, "+", "-")
+    labels = itertools.product(sorted(SET_PENCILS), sorted(FAMILY_NAMES), range(4), parities)
+    for tag, fam, n, parity in labels:
+        out = tmp_path / f"{tag}_{fam}_{n}_{parity}.csv"
+        argv = ["pointlimit", "--set", tag, "--family", fam, "--n", str(n), "--out", str(out)]
+        argv += ["--parity", parity] if parity else []
+        law = SqueezeLaw(FAMILY_NAMES[fam], 1.0)
+        try:
+            one_point_parity(tag, law.family, n, parity)
+        except DomainError:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            assert not out.exists(), argv
+            continue
+        code = main(argv)
+        if code == 2:
+            with pytest.raises(OutOfValidityWindow):
+                limit_energy(SET_PENCILS[tag], law, n=n, parity=parity)
+            continue
+        assert code == 0, argv
+        if limit_energy(SET_PENCILS[tag], law, n=n, parity=parity) is None:
+            assert out.read_text().splitlines()[1] == f"{n},,,,,", argv
 
 
 def test_domain_error_exit_code(capsys):

@@ -93,3 +93,21 @@ def test_update_restores_the_digest_and_then_moves_nothing(tmp_path, capsys):
     assert pins.main(["update"], table=path) == 0
     assert capsys.readouterr().out == ""
     assert path.read_text() == pinned
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pointlimit", "--set", "P", "--g", "2"], 1),  # a usage error: no --parity
+        (["pointlimit", "--g", "1e308"], 2),  # numerical trouble in pointlimits.chi
+    ],
+    ids=["usage", "domain"],
+)
+def test_check_names_a_failed_command_and_goes_on(argv, code, tmp_path, capsys):
+    path = tmp_path / "pins.json"
+    failing = {"argv": [*argv, "--out", "{out}/p.csv"], "tier1": True, "outputs": {}}
+    path.write_text(pins.dumps({"rows": {"failing": failing, "fig10": TABLE["rows"]["fig10"]}}))
+    true = _repin(path, "fig10", "fig10.csv", "0" * 64)
+    assert pins.main(["check"], table=path) == 1
+    out = capsys.readouterr().out
+    assert out == f"failing: exited {code}\nfig10 fig10.csv: {'0' * 64} -> {true}\n"

@@ -6,17 +6,17 @@ from triband.model import (
     SQRT2,
     Geometry,
     OutOfValidityWindow,
+    TypeMismatch,
     UnsupportedCombination,
 )
 from triband.pointlimits import (
     SqueezeLaw,
     convergence_study,
-    level_parity,
     limit_energy,
     limit_matrix,
     squeezed_eigenfunction,
 )
-from triband.spectra import PencilSpec
+from triband.spectra import PencilSpec, one_point_parity
 
 H2 = PencilSpec("P1", 0.0, 1.0, 0.0)
 H1 = PencilSpec("P2", 1.0, 1.0, -1.0)
@@ -145,6 +145,16 @@ def test_h1_two_thirds_ladder():
         limit_energy(H1, SqueezeLaw("delta", 1.0), n=0)
 
 
+def test_labels_of_the_wrong_kind_are_type_mismatches():
+    # P and D levels are labelled by parity alone, the ladder levels by n alone
+    with pytest.raises(TypeMismatch):
+        limit_energy(P_PENCIL, SqueezeLaw("delta", 2.0), n=1, parity="+")
+    with pytest.raises(TypeMismatch):
+        limit_energy(D_PENCIL, SqueezeLaw("delta", 2.0))
+    with pytest.raises(TypeMismatch):
+        limit_energy(H2, SqueezeLaw("inv_square", 2.0), n=1, parity="-")
+
+
 def test_pure_outer_component_has_no_limit_states():
     pencil = PencilSpec("P1", 1.0, 0.0, 0.0)
     for fam in ("delta", "two_thirds", "inv_square"):
@@ -206,9 +216,7 @@ def test_limit_pairs_satisfy_master_equation():
         for n in ns:
             pi = limit_matrix(pencil, law, n=n, parity=parity)
             assert abs(general_bound_condition(pi.lambda_n, pi.e_n)) < 1e-10
-            par = parity if parity else level_parity(
-                pencil_tag(pencil), n
-            )
+            par = one_point_parity(pencil_tag(pencil), law.family, n, parity)
             assert boundary_connection_residual(pi, par) < 1e-10
 
 

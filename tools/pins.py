@@ -1,6 +1,6 @@
 """Check or re-pin the SHA-256 digests of CLI outputs in tests/data/pins.json.
 
-    python3 tools/pins.py check     # exit 1 if any digest moved
+    python3 tools/pins.py check     # exit 1 if any digest moved or command failed
     python3 tools/pins.py update    # rewrite the digests that moved
 
 Each row of the table is one `triband` command: its argv, with {out} standing
@@ -9,8 +9,10 @@ for an output directory, `tier1` (whether the tier-1 tests run it) and
 Manifests hold elapsed_s, so a manifest is never hashed whole; a key
 "<manifest>:<field>" pins sha256(json.dumps(manifest[field])) instead.  Every
 row runs in this process, into a fresh temporary directory.  Both commands
-print one `row file: pinned -> got` line per digest that moved; `update`
-writes the new digests (its lines go into CHANGES.md) and leaves the table
+print one `row file: pinned -> got` line per digest that moved and one
+`row: exited N` line per command that failed, go on to the other rows, and
+exit 1 if any command failed; `update` writes the new digests (its lines go
+into CHANGES.md), keeps a failed row's digests, and leaves the table
 byte-identical when nothing moved.
 """
 
@@ -34,13 +36,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class Failed(Exception):
+    """A triband command exited nonzero."""
+
+
 def digests(argv, fields=()) -> dict:
     """{file: sha256} of every output of one triband argv but the manifests,
-    plus the digest of each "<manifest>:<field>" key in fields."""
+    plus the digest of each "<manifest>:<field>" key in fields.  Raises
+    Failed when the command exits nonzero, usage errors included."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = triband([a.replace("{out}", tmp) for a in argv])
+        try:
+            code = triband([a.replace("{out}", tmp) for a in argv])
+        except SystemExit as exc:  # a usage error
+            code = exc.code
         if code != 0:
-            raise RuntimeError(f"triband {' '.join(argv)} exited {code}")
+            raise Failed(f"exited {code}")
         outputs = (p for p in Path(tmp).iterdir() if not p.name.endswith(".manifest.json"))
         got = {p.name: _sha256(p.read_bytes()) for p in sorted(outputs)}
         for key in fields:
@@ -70,9 +80,15 @@ def main(argv=None, table=TABLE) -> int:
     ap.add_argument("command", choices=("check", "update"))
     command = ap.parse_args(argv).command
     pins = json.loads(table.read_text())
-    changed = False
+    changed = failed = False
     for name, row in pins["rows"].items():
-        for key, old, new in moved(row):
+        try:
+            diffs = moved(row)
+        except Failed as exc:
+            print(f"{name}: {exc}", flush=True)
+            failed = True
+            continue
+        for key, old, new in diffs:
             print(f"{name} {key}: {old} -> {new}", flush=True)
             changed = True
             if new is None:
@@ -81,8 +97,8 @@ def main(argv=None, table=TABLE) -> int:
                 row["outputs"][key] = {"sha256": new}
     if command == "update":
         table.write_text(dumps(pins))
-        return 0
-    return 1 if changed else 0
+        return 1 if failed else 0
+    return 1 if changed or failed else 0
 
 
 if __name__ == "__main__":
